@@ -63,6 +63,7 @@ from .evaluation import (
 )
 from .linear_summary import QuantilePathSet, fit_quantile_paths
 from .model_engine import (
+    MIN_TRAIN_QUARTERS,
     McmcConfig,
     ModelSpec,
     assemble_target_only,
@@ -297,8 +298,10 @@ def exec_cell(task: dict) -> dict:
         full = _WORKER["full"][key]
         spec = ModelSpec(mean_kind=mean_kind, error_kind=error_kind, dataset=dspec)
         mcmc = McmcConfig(**task["mcmc"])
-        pred = forecast_cell(spec, panel, cell.origin, mcmc,
-                             master_seed=task["seed"], full=full)
+        # tasks built outside cmd_run (bench/replay.py) may omit min_train
+        pred = forecast_cell(spec, panel, cell.origin, mcmc, master_seed=task["seed"],
+                             full=full,
+                             min_train=task.get("min_train", MIN_TRAIN_QUARTERS))
 
         pit_seed = derive_cell_seed(task["seed"], cell.model_id + "|pit",
                                     cell.dataset_label, cell.horizon,
@@ -375,8 +378,8 @@ def cmd_run(cfg: RunConfig) -> int:
         "horizon": c.horizon, "origin": c.origin,
         "target": cfg.target, "expectations": cfg.expectations,
         "include_expectations": cfg.include_expectations and cfg.expectations is not None,
-        "mcmc": cfg.mcmc, "seed": cfg.seed, "out_dir": cfg.out_dir,
-        "draws_format": cfg.draws_format,
+        "mcmc": cfg.mcmc, "seed": cfg.seed, "min_train": cfg.min_train,
+        "out_dir": cfg.out_dir, "draws_format": cfg.draws_format,
     } for c in pending]
     results: dict[str, dict] = {}
     if tasks:
@@ -557,9 +560,12 @@ def cmd_report(out_dir: str) -> int:
 
 
 def cmd_summarize_lasso(cfg: RunConfig) -> int:
+    """Fit the LASSO quantile-path summaries per horizon and model; a model
+    whose fit fails is reported on stderr and left out of the CSVs."""
     records = _load_cells(cfg.out_dir)
     panel = load_panel(cfg.panel, cfg.sidecar)
     horizons = sorted({r["horizon"] for r in records})
+    failed = []
     for h in horizons:
         rows_out = []
         r2_out = []
@@ -582,7 +588,12 @@ def cmd_summarize_lasso(cfg: RunConfig) -> int:
             p_grid = tuple(sorted(float(p) for p in recs[0]["quantiles"]))
             Q = np.array([[r["quantiles"]["%g" % p] for p in p_grid] for r in recs])
             paths = QuantilePathSet(dates=origins[ok], Q=Q, p_grid=p_grid)
-            fits = fit_quantile_paths(paths, full.X[idx])
+            try:
+                fits = fit_quantile_paths(paths, full.X[idx])
+            except (RuntimeError, ValueError) as exc:
+                print(f"{m}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                failed.append(f"{m} h={h}")
+                continue
             for p in p_grid:
                 f = fits[p]
                 r2_out.append([m, "%g" % p, "%.10g" % f.r2, "%.10g" % f.lam,
@@ -598,6 +609,9 @@ def cmd_summarize_lasso(cfg: RunConfig) -> int:
             w.writerow(["model", "p", "r2", "lambda", "n_active"])
             w.writerows(r2_out)
     print(f"penalized summaries written to {cfg.out_dir}")
+    if failed:
+        print(f"{len(failed)} fit(s) failed: {failed}", file=sys.stderr)
+        return EXIT_PARTIAL
     return EXIT_OK
 
 

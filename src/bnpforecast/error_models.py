@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 __all__ = [
     "KAPPA",
@@ -457,8 +457,126 @@ def _sv_ffbs(ystar: np.ndarray, s: np.ndarray, mu: float, rho: float, q: float,
     return h
 
 
+# Exact ports of scipy 1.17's truncnorm.rvs, beta.logpdf and geninvgauss.rvs
+# for the AR(1) parameter block below. Each repeats scipy's arithmetic with
+# the same numpy / scipy.special ufuncs, the same operand types and the same
+# Generator draws, so every draw is bit-for-bit the one scipy returns from
+# the same stream; tests/test_error_models.py pins the parity. rng.random()
+# stands for scipy's rng.uniform(): both return the next double unchanged,
+# and random() skips uniform()'s argument handling. Importing scipy's
+# statistics package would about double every command's start-up time.
+
+def _logaddexp(lp: float, lq: float) -> float:
+    """log(e^lp + e^lq), rounded as scipy.special.logsumexp([lp, lq]) rounds it."""
+    big, small = (lp, lq) if lp > lq else (lq, lp)
+    if lp == lq or not math.isfinite(big) or math.isnan(small):
+        return special.logsumexp([lp, lq])   # ties and non-finite edge cases
+    return np.log1p(np.exp(small - big)) + big
+
+
+def _logsubexp(lp: float, lq: float) -> float:
+    """log(e^lp - e^lq), lp > lq, as the real part of logsumexp([lp, lq + i pi])."""
+    if lp > lq and math.isfinite(lp):
+        # the log(m) = log(1 + 0j) term of logsumexp contributes the + 0.0
+        out = np.log1p(np.exp(complex(lq - lp, np.pi))).real + 0.0 + lp
+        if math.isfinite(out):
+            return out
+    return float(np.real(special.logsumexp([lp, lq + np.pi * 1j])))
+
+
+def _log_gauss_mass(a: float, b: float) -> float:
+    """log(Phi(b) - Phi(a)), computed in the left tail as scipy does."""
+    if b <= 0:
+        return _logsubexp(special.log_ndtr(b), special.log_ndtr(a))
+    if a > 0:
+        return _logsubexp(special.log_ndtr(-a), special.log_ndtr(-b))
+    return special.log1p(-special.ndtr(a) - special.ndtr(-b))
+
+
+def _truncnorm_rvs(lo: float, hi: float, loc: float, scale: float,
+                   rng: np.random.Generator) -> float:
+    """loc + scale * Z, Z ~ N(0, 1) truncated to (lo, hi), by inverse CDF of one uniform."""
+    if not lo < hi:
+        raise ValueError(f"truncated normal needs lo < hi, got ({lo}, {hi})")
+    u = rng.random()
+    if lo < 0:
+        x = special.ndtri_exp(_logaddexp(special.log_ndtr(lo),
+                                         np.log(u) + _log_gauss_mass(lo, hi)))
+    else:
+        x = -special.ndtri_exp(_logaddexp(special.log_ndtr(-hi),
+                                          np.log1p(-u) + _log_gauss_mass(lo, hi)))
+    return float(x * scale + loc)
+
+
+def _beta_logpdf(x: float, a: float, b: float) -> float:
+    """Beta(a, b) log density at x in (0, 1)."""
+    return special.xlog1py(b - 1.0, -x) + special.xlogy(a - 1.0, x) - special.betaln(a, b)
+
+
+def _gig_logquasipdf(x, p: float, b: float):
+    """(p-1) log x - b (x + 1/x) / 2; -inf off the support."""
+    if not x > 0:
+        return -np.inf
+    return (p - 1) * np.log(x) - b * (x + 1 / x) / 2
+
+
+def _gig_rvs(p: float, b: float, scale: float, rng: np.random.Generator) -> float:
+    """scale * X, X ~ GIG(p, b) with density prop. to x^(p-1) exp(-b (x + 1/x) / 2).
+
+    Ratio of uniforms with mode shift (Hormann & Leydold 2014, Stat. Comput.):
+    the bounding rectangle comes from the roots of a cubic (Cardano), and
+    each attempt draws two uniforms. For p < 0 the draw is 1/X' with
+    X' ~ GIG(-p, b). The method covers |p| >= 1 or b > 1; with
+    p = sig_shape - T/2 under the default priors, that is every T >= 3. The
+    paper's two methods for |p| < 1 with b <= 1 are not carried.
+    """
+    if not b > 0:
+        raise ValueError(f"GIG draw needs b > 0, got {b}")
+    invert = p < 0
+    if invert:
+        p = -p
+    if not (p >= 1 or b > 1):
+        raise ValueError(f"GIG draw supports |p| >= 1 or b > 1 only, got |p|={p}, b={b}")
+    if p < 1:
+        m = b / (np.sqrt((p - 1)**2 + b**2) + 1 - p)
+    else:
+        m = (np.sqrt((1 - p)**2 + b**2) - (1 - p)) / b
+    a2 = -2 * (p + 1) / b - m
+    a1 = 2 * m * (p - 1) / b - 1
+    p1 = a1 - a2**2 / 3
+    q1 = 2 * a2**3 / 27 - a2 * a1 / 3 + m
+    phi = np.arccos(-q1 * np.sqrt(-27 / p1**3) / 2)
+    s1 = -np.sqrt(-4 * p1 / 3)
+    root1 = s1 * np.cos(phi / 3 + np.pi / 3) - a2 / 3
+    root2 = -s1 * np.cos(phi / 3) - a2 / 3
+    lm = _gig_logquasipdf(m, p, b)
+    vmin = (root1 - m) * np.exp(0.5 * (_gig_logquasipdf(root1, p, b) - lm))
+    vmax = (root2 - m) * np.exp(0.5 * (_gig_logquasipdf(root2, p, b) - lm))
+    if vmin >= vmax:
+        raise ValueError(f"GIG bounding rectangle is empty (p={p}, b={b})")
+    for _ in range(50000):
+        u = rng.random()
+        x = (vmin + (vmax - vmin) * rng.random()) / u + m
+        if 2 * np.log(u) <= _gig_logquasipdf(x, p, b) - lm:
+            break
+    else:
+        raise RuntimeError(f"no GIG variate accepted in 50000 attempts (p={p}, b={b})")
+    if invert:
+        x = 1 / x
+    return float(x * scale)
+
+
 def _sv_params(h: np.ndarray, state: SvState, priors: SvPriors,
                rng: np.random.Generator) -> tuple[float, float, float]:
+    """One Gibbs/MH pass over (mu_h, rho_h, sig2_h) given the log-variance path.
+
+    mu_h is Gaussian. rho_h takes a truncated-normal proposal from the t >= 2
+    likelihood with an MH correction for the Beta prior and the stationary
+    initial term (Kastner & Fruhwirth-Schnatter 2014, CSDA). sig2_h is a
+    generalized inverse Gaussian draw (Hormann & Leydold 2014, Stat. Comput.).
+    The samplers match scipy 1.17's truncnorm/beta/geninvgauss streams draw
+    for draw.
+    """
     T = h.size
     mu, rho, q = state.mu_h, state.rho_h, state.sig2_h
 
@@ -475,10 +593,10 @@ def _sv_params(h: np.ndarray, state: SvState, priors: SvPriors,
         mean_l = float(z[1:] @ z[:-1]) / sz
         sd_l = math.sqrt(q / sz)
         lo, hi = (-1.0 + 1e-6 - mean_l) / sd_l, (1.0 - 1e-6 - mean_l) / sd_l
-        prop = float(stats.truncnorm.rvs(lo, hi, loc=mean_l, scale=sd_l, random_state=rng))
+        prop = _truncnorm_rvs(lo, hi, mean_l, sd_l, rng)
 
         def _extra(r: float) -> float:
-            return (stats.beta.logpdf((r + 1.0) / 2.0, priors.rho_a, priors.rho_b)
+            return (_beta_logpdf((r + 1.0) / 2.0, priors.rho_a, priors.rho_b)
                     + 0.5 * math.log1p(-r * r) - (1.0 - r * r) * z[0] ** 2 / (2.0 * q))
 
         if math.log(rng.uniform()) < _extra(prop) - _extra(rho):
@@ -490,7 +608,7 @@ def _sv_params(h: np.ndarray, state: SvState, priors: SvPriors,
     psi = 2.0 * priors.sig_rate
     p = priors.sig_shape - 0.5 * T
     b = math.sqrt(S * psi)
-    q_new = float(stats.geninvgauss.rvs(p, b, scale=math.sqrt(S / psi), random_state=rng))
+    q_new = _gig_rvs(p, b, math.sqrt(S / psi), rng)
     return mu, rho, max(q_new, 1e-12)
 
 

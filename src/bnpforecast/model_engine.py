@@ -760,8 +760,12 @@ def make_window(full: RegressionData, panel, dspec: DatasetSpec, origin: int,
 
 def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
                   master_seed: int | None = None,
-                  full: RegressionData | None = None) -> PredictiveDraws:
-    """Estimate one (model, origin) cell and simulate its predictive draws."""
+                  full: RegressionData | None = None,
+                  min_train: int = MIN_TRAIN_QUARTERS) -> PredictiveDraws:
+    """Estimate one (model, origin) cell and simulate its predictive draws.
+
+    Raises ValueError when the training window is shorter than ``min_train``.
+    """
     dspec = spec.dataset
     if full is None:
         full = (assemble_target_only(panel, dspec) if spec.mean_kind == "UC"
@@ -773,10 +777,10 @@ def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
                             origin_date=origin, horizon=h)
     else:
         window = make_window(full, panel, dspec, origin)
-    if window.T < MIN_TRAIN_QUARTERS:
+    if window.T < min_train:
         raise ValueError(
             f"training window at {format_quarter(origin)} has {window.T} quarters "
-            f"(minimum {MIN_TRAIN_QUARTERS})")
+            f"(minimum {min_train})")
     seed = cfg.seed
     if master_seed is not None:
         seed = derive_cell_seed(master_seed, spec.model_id, spec.dataset_label,
@@ -796,8 +800,10 @@ def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
 
 
 def recursive_forecast(spec: ModelSpec, panel, eval_start, eval_end,
-                       cfg: McmcConfig, master_seed: int | None = None) -> list[PredictiveDraws]:
-    """Expanding-window experiment: a fresh chain at every usable origin."""
+                       cfg: McmcConfig, master_seed: int | None = None,
+                       min_train: int = MIN_TRAIN_QUARTERS) -> list[PredictiveDraws]:
+    """Expanding-window experiment: a fresh chain at every origin with at
+    least ``min_train`` training quarters."""
     if isinstance(eval_start, str):
         eval_start = parse_quarter(eval_start)
     if isinstance(eval_end, str):
@@ -809,11 +815,11 @@ def recursive_forecast(spec: ModelSpec, panel, eval_start, eval_end,
     for origin in forecast_origins(full, eval_start, eval_end):
         h = dspec.horizon
         n_train = int(np.sum(full.origin_dates <= origin - h))
-        if n_train < MIN_TRAIN_QUARTERS:
+        if n_train < min_train:
             warnings.warn(
                 f"skipping origin {format_quarter(origin)}: {n_train} training "
-                f"quarters (minimum {MIN_TRAIN_QUARTERS})")
+                f"quarters (minimum {min_train})")
             continue
-        results.append(forecast_cell(spec, panel, origin, cfg,
-                                     master_seed=master_seed, full=full))
+        results.append(forecast_cell(spec, panel, origin, cfg, master_seed=master_seed,
+                                     full=full, min_train=min_train))
     return results

@@ -252,6 +252,22 @@ def test_failed_cell_logged_grid_continues(panel_files, tmp_path, capsys):
     assert cells["UC-SV_none_1_2021Q2"]["status"] == "ok"
 
 
+def test_min_train_below_default_runs_every_cell(panel_files, tmp_path):
+    """``min_train`` reaches the engine: 26-29 training quarters at
+    ``min_train: 10`` are accepted, not refused against the default of 40."""
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg.update(eval_start="1979Q1", eval_end="1979Q4", min_train=10)
+    cfg_path = _write_config(tmp_path / "c.json", cfg)
+    assert main(["run", "--config", cfg_path]) == EXIT_OK
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        cells = json.load(fh)["cells"]
+    assert len(cells) == 8
+    assert all(c["status"] == "ok" for c in cells)
+    for c in cells:
+        with open(tmp_path / "out" / "cells" / f"{c['cell']}.json") as fh:
+            assert 10 <= json.load(fh)["train_quarters"] < 40
+
+
 def test_binary_draws_format(experiment, panel_files, tmp_path):
     cfg = _base_config(panel_files, tmp_path / "out")
     cfg.update(models=["UC-SV"], eval_start="2021Q4", eval_end="2021Q4",
@@ -405,6 +421,45 @@ def test_summarize_lasso_outputs(experiment):
     assert header == ["model", "variable", "p", "coefficient"]
 
 
+def test_summarize_lasso_failed_fit_keeps_other_models(experiment, tmp_path,
+                                                      monkeypatch, capsys):
+    """One model whose fit raises is reported and skipped; the others are
+    still written and the command exits partial."""
+    out = tmp_path / "out"
+    shutil.copytree(os.path.join(experiment["out_dir"], "cells"), out / "cells")
+    # a second regression model: the Linear-Homosk records relabelled GP-Homosk
+    for name in os.listdir(out / "cells"):
+        if name.startswith("Linear-Homosk"):
+            with open(out / "cells" / name) as fh:
+                rec = json.load(fh)
+            rec["model"] = "GP-Homosk"
+            with open(out / "cells" / name.replace("Linear", "GP"), "w") as fh:
+                json.dump(rec, fh)
+    cfg = dict(experiment["cfg"], out_dir=str(out))
+    cfg_path = _write_config(tmp_path / "c.json", cfg)
+
+    real_fit = cli.fit_quantile_paths
+    calls = []
+
+    def fit_or_fail(paths, X, *args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) == 1:  # models are fitted in sorted order: GP-Homosk first
+            raise RuntimeError("coordinate descent failed to converge")
+        return real_fit(paths, X, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_quantile_paths", fit_or_fail)
+    assert main(["summarize-lasso", "--config", cfg_path]) == EXIT_PARTIAL
+    assert len(calls) == 2
+    err = capsys.readouterr().err
+    assert "GP-Homosk[Moderate]: error: RuntimeError: coordinate descent" in err
+    with open(out / "r2_h1.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert {r[0] for r in rows} == {"Linear-Homosk[Moderate]"}
+    assert len(rows) == 5
+    with open(out / "lasso_h1.csv") as fh:
+        assert {r[0] for r in list(csv.reader(fh))[1:]} <= {"Linear-Homosk[Moderate]"}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -442,3 +497,15 @@ def test_console_script_roundtrip(panel_files, tmp_path):
                          capture_output=True, text=True, env=env)
     assert bad.returncode == EXIT_CONFIG
     assert "missing.json" in bad.stderr
+
+def test_import_leaves_scipy_stats_unloaded():
+    """No command pays for importing scipy.stats: the package and its CLI
+    use scipy.linalg and scipy.special only."""
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(bnpforecast.__file__)))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    code = ("import sys, bnpforecast, bnpforecast.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -24,7 +24,10 @@ from bnpforecast.error_models import (
     _SV_M,
     _SV_P,
     _SV_V,
+    _beta_logpdf,
+    _gig_rvs,
     _sv_ffbs,
+    _truncnorm_rvs,
     error_mean_offsets,
     error_predictive_draw,
     error_predictive_mixture,
@@ -584,6 +587,80 @@ def test_sv_recovers_persistence():
         if it >= 1500:
             rhos.append(sv.rho_h)
     assert 0.90 <= np.mean(rhos) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# AR(1) parameter samplers: draw-for-draw parity with scipy.stats
+
+
+def _twin_generators(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def test_truncnorm_matches_scipy_stream():
+    # (mean, sd) of the rho_h proposal as _sv_params forms it; the grid puts
+    # the mean inside, at and beyond +-1 with tiny to huge sd, so the
+    # interval (lo, hi) sits in the left tail, the right tail, across zero,
+    # and is narrow in standard units when sd is large. lo = 0 exactly takes
+    # scipy's right-tail inverse with the central mass formula.
+    cases = [(0.0, 2.5, 0.1, 0.2)]
+    for mean_l in (-3.0, -1.2, -1.0, -0.999999, -0.5, 0.0, 0.4, 0.98, 0.999999, 1.0, 1.5, 6.0):
+        for sd_l in (1e-7, 1e-3, 0.05, 0.3, 2.0, 40.0):
+            cases.append(((-1.0 + 1e-6 - mean_l) / sd_l, (1.0 - 1e-6 - mean_l) / sd_l,
+                          mean_l, sd_l))
+    mass_cases, ppf_sides = set(), set()
+    for lo, hi, loc, scale in cases:
+        mass_cases.add("left" if hi <= 0 else "right" if lo > 0 else "central")
+        ppf_sides.add(lo < 0)
+        for seed in range(3):
+            r_ref, r_port = _twin_generators(1000 * seed + 7)
+            ref = float(stats.truncnorm.rvs(lo, hi, loc=loc, scale=scale, random_state=r_ref))
+            assert _truncnorm_rvs(lo, hi, loc, scale, r_port) == ref, (lo, hi, loc, scale)
+            assert r_port.bit_generator.state == r_ref.bit_generator.state
+    assert mass_cases == {"left", "right", "central"}
+    assert ppf_sides == {True, False}
+    with pytest.raises(ValueError, match="lo < hi"):
+        _truncnorm_rvs(1.0, 1.0, 0.0, 1.0, r_port)
+
+
+def test_beta_logpdf_matches_scipy():
+    priors = SvPriors()
+    rhos = np.concatenate([np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 2001), [2.0 / 3.0]])
+    for r in rhos:
+        x = (float(r) + 1.0) / 2.0
+        assert _beta_logpdf(x, priors.rho_a, priors.rho_b) == float(
+            stats.beta.logpdf(x, priors.rho_a, priors.rho_b))
+
+
+@pytest.mark.parametrize("T", [4, 40, 194])
+def test_gig_matches_scipy_stream(T):
+    # sig2_h | h ~ GIG as _sv_params parameterizes it, over sums of squared
+    # innovations S from near-degenerate to very dispersed
+    priors = SvPriors()
+    psi = 2.0 * priors.sig_rate
+    p = priors.sig_shape - 0.5 * T
+    for S in np.geomspace(1e-4, 1e4, 33):
+        S = float(S)
+        b = math.sqrt(S * psi)
+        scale = math.sqrt(S / psi)
+        r_ref, r_port = _twin_generators(int(S * 1e4) % 9973 + T)
+        for _ in range(5):
+            ref = float(stats.geninvgauss.rvs(p, b, scale=scale, random_state=r_ref))
+            assert _gig_rvs(p, b, scale, r_port) == ref, (T, S)
+        assert r_port.bit_generator.state == r_ref.bit_generator.state
+
+
+def test_gig_small_p_needs_b_above_one():
+    # |p| < 1 (T = 2) still uses the mode-shift method when b > 1 ...
+    r_ref, r_port = _twin_generators(11)
+    for b in (1.5, 4.0, 30.0):
+        ref = float(stats.geninvgauss.rvs(-0.5, b, scale=b, random_state=r_ref))
+        assert _gig_rvs(-0.5, b, b, r_port) == ref
+    # ... and the methods for |p| < 1 with b <= 1 are not carried
+    with pytest.raises(ValueError, match=r"\|p\| >= 1 or b > 1"):
+        _gig_rvs(-0.5, 0.8, 1.0, r_port)
+    with pytest.raises(ValueError, match="b > 0"):
+        _gig_rvs(-3.0, 0.0, 1.0, r_port)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,22 @@ def enumerate_cells(panel, cfg: RunConfig) -> list[Cell]:
     return cells
 
 
+# Submission order for the pool, most expensive first, so that the last
+# cells to finish are short ones: the GP-path means cost the most, then the
+# mixture and volatility error blocks, then the longer training windows.
+_MEAN_COST_ORDER = ("GPSub", "GP", "Linear", "UC")
+_ERROR_COST_ORDER = ("DPMSV", "SV", "DPM", "Homosk")
+
+
+def longest_first(cells) -> list[Cell]:
+    """Cells sorted by expected run time, longest first (ties by cell id)."""
+    def key(c: Cell):
+        mean_kind, error_kind = _split_model(c.model_id)
+        return (_MEAN_COST_ORDER.index(mean_kind), _ERROR_COST_ORDER.index(error_kind),
+                -c.origin, c.cell_id)
+    return sorted(cells, key=key)
+
+
 def _cell_paths(out_dir: str, cell: Cell, draws_format: str) -> tuple[str, str]:
     ext = "npy" if draws_format == "bin" else "csv"
     draws = os.path.join(out_dir, "draws", f"{cell.cell_id}.{ext}")
@@ -370,7 +386,7 @@ def cmd_run(cfg: RunConfig) -> int:
     cells = enumerate_cells(panel, cfg)
     os.makedirs(os.path.join(cfg.out_dir, "draws"), exist_ok=True)
     os.makedirs(os.path.join(cfg.out_dir, "cells"), exist_ok=True)
-    pending = [c for c in cells if not cell_done(cfg.out_dir, c, cfg.draws_format)]
+    pending = longest_first(c for c in cells if not cell_done(cfg.out_dir, c, cfg.draws_format))
     cached = len(cells) - len(pending)
     print(f"grid: {len(cells)} cells ({cached} cached, {len(pending)} to run)")
     tasks = [{

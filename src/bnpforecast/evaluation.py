@@ -39,6 +39,8 @@ __all__ = [
     "write_calibration_csv",
 ]
 
+# probability levels of every predictive quantile the package reports,
+# scores and summarizes
 P_GRID = (0.05, 0.1, 0.5, 0.9, 0.95)
 
 # decade-style evaluation subwindows (outcome dates, inclusive)

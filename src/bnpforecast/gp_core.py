@@ -132,10 +132,13 @@ def chol_psd(M: np.ndarray, scale: float | None = None, what: str = "matrix"):
     M = np.asarray(M, dtype=float)
     if scale is None:
         scale = float(np.max(np.abs(np.diag(M)))) or 1.0
-    eye = np.eye(M.shape[0])
     for rel in _JITTERS:
+        Mj = M
+        if rel:
+            Mj = M.copy()
+            Mj[np.diag_indices_from(Mj)] += rel * scale
         try:
-            c = cho_factor(M + (rel * scale) * eye, lower=True, check_finite=False)
+            c = cho_factor(Mj, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(c[0])):

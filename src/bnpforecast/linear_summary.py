@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluation import P_GRID
+
 __all__ = [
     "P_GRID",
     "QuantilePathSet",
@@ -27,8 +29,6 @@ __all__ = [
     "write_lasso_csv",
     "write_r2_csv",
 ]
-
-P_GRID = (0.05, 0.1, 0.5, 0.9, 0.95)
 
 MAX_SWEEPS = 100000
 COORD_TOL = 1e-8

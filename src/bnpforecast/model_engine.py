@@ -7,10 +7,18 @@ simulates h-step-ahead predictive draws, and drives the recursive
 expanding-window forecast experiment.
 
 The GP updates work in precision form: with A = K^{-1} + (I - Phi0)/tau^2
-and P = A + Sigma^{-1}, the latent function draw, the collapsed marginal
-likelihood for the kernel hyperparameters, and the predictive conditional
-at a new point all come from Cholesky factors of A and P, so a sweep
-costs a small number of T^3/3 factorizations.
+(A = K^{-1} for the plain GP) and P = A + Sigma^{-1}, the latent function
+draw and the collapsed marginal likelihood for the kernel hyperparameters
+(Rasmussen & Williams 2006, Alg. 2.1, in precision form) come from the
+Cholesky factors of K, A and P. K^{-1} is formed once per kernel
+hyperparameter by LAPACK ``dpotri`` on the factor of K, and the factor of
+A is kept per (hyperparameter, tau^2). A sweep that proposes a new
+hyperparameter therefore costs three T^3/3 factorizations for GP (P at the
+current and at the proposed hyperparameter, K at the proposed one), four
+for Linear (plus A at the proposed one) and five for GPSub (plus A at the
+current one, after every tau^2 move), and one ``dpotri``. The predictive
+conditional at a new point takes one Cholesky of the augmented kernel per
+distinct retained hyperparameter.
 """
 from __future__ import annotations
 
@@ -22,6 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, qr, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from .data_pipeline import (
     DatasetSpec,
@@ -43,6 +52,7 @@ from .error_models import (
     error_variance_diag,
     init_error_state,
 )
+from .evaluation import P_GRID
 from .gp_core import (
     PC_BASIS_RANK,
     AdaptiveStep,
@@ -84,7 +94,6 @@ __all__ = [
 ]
 
 MEAN_KINDS = ("UC", "Linear", "GP", "GPSub")
-P_GRID = (0.05, 0.1, 0.5, 0.9, 0.95)
 
 # tau^2 value realizing the omega = 1 linear limit of the subspace model
 LINEAR_TAU2 = 1e-8
@@ -261,6 +270,22 @@ def _window_basis(X: np.ndarray, x_new: np.ndarray | None, force_pc: bool,
     return X, (None if x_new is None else np.asarray(x_new, float)), K
 
 
+@dataclass
+class _HyperSlot:
+    """Factors cached for one kernel hyperparameter.
+
+    ``kinv`` and the cached A carry their values in the lower triangle
+    only: ``dpotri`` fills one triangle, and every consumer (the lower
+    Cholesky factorizations of A and P, and the solves against them) reads
+    that triangle alone, so the upper one is never mirrored.
+    """
+
+    kinv: np.ndarray
+    logdet_k: float
+    zeta: float | None = None
+    prec: tuple | None = None  # (A, chol A, log det A) at zeta
+
+
 class _GpContext:
     """Precomputed quantities and factor caches for one estimation window."""
 
@@ -288,36 +313,56 @@ class _GpContext:
             self.basis = B
             self.basis_new = b_new
         # two-slot kernel cache: current hyper and latest proposal
-        self._kp: list = []
+        self._kp: list[tuple[tuple[float, float], _HyperSlot]] = []
 
-    def kernel_pieces(self, hyper: KernelHyper):
-        """(cholK, Kinv) for the Gaussian kernel at this hyperparameter."""
+    def kernel_pieces(self, hyper: KernelHyper) -> _HyperSlot:
+        """The cached factor slot of the Gaussian kernel at this hyperparameter.
+
+        A slot holds K^{-1} (lower triangle only; see ``_HyperSlot``),
+        log det K, and once ``_a_pieces`` has asked for them, the prior
+        precision A at one zeta with its Cholesky factor and log det A. The
+        two slots hold the last two hyperparameters asked for, the current
+        one and the latest proposal; a hit moves its slot to the back.
+        """
         key = (hyper.xi, hyper.phi)
-        for k, v in self._kp:
+        for i, (k, slot) in enumerate(self._kp):
             if k == key:
-                return v
+                self._kp.append(self._kp.pop(i))
+                return slot
         K = kernel_from_sqdist(self.D2, hyper)
-        cK = chol_psd(K, what="kernel matrix")
-        Kinv = cho_solve(cK, np.eye(self.T), check_finite=False)
-        Kinv = 0.5 * (Kinv + Kinv.T)
-        val = (cK, Kinv)
-        self._kp.append((key, val))
+        cK, _ = chol_psd(K, what="kernel matrix")
+        logdet_k = 2.0 * float(np.sum(np.log(np.diag(cK))))
+        Kinv, _ = dpotri(cK, lower=1, overwrite_c=1)
+        slot = _HyperSlot(Kinv, logdet_k)
+        self._kp.append((key, slot))
         if len(self._kp) > 2:
             self._kp.pop(0)
-        return val
+        return slot
 
 
 def _a_pieces(ctx: _GpContext, hyper: KernelHyper, zeta: float | None):
-    """A = K^{-1} (+ zeta (I - Phi0)), its Cholesky factor and log-determinant."""
-    _, Kinv = ctx.kernel_pieces(hyper)
-    A = Kinv if zeta is None else Kinv + zeta * ctx.Q
-    cA = chol_psd(A, what="prior precision")
-    logdetA = 2.0 * float(np.sum(np.log(np.diag(cA[0]))))
-    return A, cA, logdetA
+    """A = K^{-1} (+ zeta (I - Phi0)), its Cholesky factor and log-determinant.
+
+    For the plain GP (zeta None) A is K^{-1}: nothing is factored, the
+    factor comes back as None and log det A = -log det K. Otherwise A and
+    its factor are cached in the hyperparameter's slot for this zeta.
+    Only A's lower triangle is meaningful.
+    """
+    slot = ctx.kernel_pieces(hyper)
+    if zeta is None:
+        return slot.kinv, None, -slot.logdet_k
+    if slot.zeta != zeta:
+        A = slot.kinv + zeta * ctx.Q
+        cA = chol_psd(A, what="prior precision")
+        slot.zeta, slot.prec = zeta, (A, cA, 2.0 * float(np.sum(np.log(np.diag(cA[0])))))
+    return slot.prec
 
 
 def _p_pieces(A: np.ndarray, sigma: np.ndarray):
-    """P = A + Sigma^{-1} with its Cholesky factor and log-determinant."""
+    """P = A + Sigma^{-1} with its Cholesky factor and log-determinant.
+
+    Reads A's lower triangle only.
+    """
     P = A.copy()
     P[np.diag_indices_from(P)] += 1.0 / sigma
     cP = chol_psd(P, what="posterior precision")
@@ -336,11 +381,11 @@ def _collapsed_loglik(r: np.ndarray, sigma: np.ndarray, logdetA: float,
 
 
 def _draw_f(r: np.ndarray, sigma: np.ndarray, cP, rng: np.random.Generator) -> np.ndarray:
-    """f ~ N(P^{-1} Sigma^{-1} r, P^{-1}) from the Cholesky factor of P."""
+    """f ~ N(P^{-1} Sigma^{-1} r, P^{-1}) from the lower Cholesky factor L of P:
+    the noise is L^{-T} z."""
     fbar = cho_solve(cP, r / sigma, check_finite=False)
-    L = np.tril(cP[0]) if cP[1] else np.triu(cP[0]).T
     z = rng.standard_normal(r.size)
-    return fbar + solve_triangular(L.T, z, lower=False, check_finite=False)
+    return fbar + solve_triangular(cP[0], z, lower=True, trans="T", check_finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +497,7 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
     else:
         r = y - offsets
         zeta = None if spec.mean_kind == "GP" else 1.0 / state.tau2
-        A, cA, logdetA = _a_pieces(ctx, state.hyper, zeta)
+        A, _, logdetA = _a_pieces(ctx, state.hyper, zeta)
         cP, logdetP = _p_pieces(A, sigma)
         if not ctx.fix_kernel_hyper:
             ll_cur = _collapsed_loglik(r, sigma, logdetA, cP, logdetP)
@@ -465,7 +510,7 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
                     cP_p, ldP_p = _p_pieces(A_p, sigma)
                 except SingularKernelError:
                     return -np.inf
-                pending[(xi, phi)] = (A_p, cP_p)
+                pending[(xi, phi)] = cP_p
                 return _collapsed_loglik(r, sigma, ldA_p, cP_p, ldP_p)
 
             new_hyper, accepted, _ = sample_kernel_hyper(
@@ -473,7 +518,7 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
             state.hyper_step.update(accepted)
             if accepted:
                 state.hyper = new_hyper
-                A, cP = pending[(new_hyper.xi, new_hyper.phi)]
+                cP = pending[(new_hyper.xi, new_hyper.phi)]
         state.f = _draw_f(r, sigma, cP, rng)
         _check_finite(state.f, "mean", state.iteration)
         if spec.mean_kind == "GPSub":

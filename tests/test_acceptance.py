@@ -281,6 +281,7 @@ def grid_run(tmp_path_factory, panel_files):
             "rc_run": rc_run, "rc_report": rc_report}
 
 
+@pytest.mark.slow
 def test_criterion_9_inefficiency_factors(grid_run):
     with criterion(9, "all monitored inefficiency factors below 40"):
         cell_dir = os.path.join(grid_run["out_dir"], "cells")
@@ -295,6 +296,7 @@ def test_criterion_9_inefficiency_factors(grid_run):
         assert worst < 40.0
 
 
+@pytest.mark.slow
 def test_criterion_10_end_to_end_smoke(grid_run):
     with criterion(10, "full synthetic grid finishes in time; benchmark row exact"):
         assert grid_run["rc_run"] == 0

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -221,6 +222,44 @@ def test_gp_cell_bytes_independent_of_worker_count(panel_files, tmp_path):
     assert sorted(trees[0]) == ["cells/GP-Homosk_Moderate_1_2021Q3.json",
                                 "draws/GP-Homosk_Moderate_1_2021Q3.csv"]
     assert trees[0] == trees[1]
+
+
+def test_run_submits_longest_cells_first(panel_files, tmp_path, monkeypatch):
+    """The pool gets the GP-path cells first and the trend cells last: mean
+    kind GPSub, GP, Linear, UC, then error kind DPMSV, SV, DPM, Homosk, then
+    the later origin first. Cached cells are not submitted."""
+    submitted = []
+
+    class _RecordingPool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            submitted.append((task["model_id"], task["origin"]))
+            fut = Future()
+            fut.set_result({"cell": "", "status": "ok"})
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg["models"] = ["UC-Homosk", "Linear-SV", "GP-DPM", "GPSub-Homosk",
+                     "GPSub-DPMSV", "GP-SV"]
+    cached = cli.Cell("GP-SV", "Moderate", 1, parse_quarter("2021Q1"))
+    for path in cli._cell_paths(cfg["out_dir"], cached, "csv"):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        open(path, "w").close()
+    assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == EXIT_OK
+    late_first = [parse_quarter(o) for o in reversed(ORIGINS)]
+    expected = [(m, o) for m in ("GPSub-DPMSV", "GPSub-Homosk", "GP-SV", "GP-DPM",
+                                 "Linear-SV", "UC-Homosk")
+                for o in late_first if (m, o) != ("GP-SV", cached.origin)]
+    assert submitted == expected
 
 
 def test_failed_cell_logged_grid_continues(panel_files, tmp_path, capsys):

@@ -13,6 +13,7 @@ from bnpforecast.data_pipeline import (
     format_quarter,
 )
 from bnpforecast.error_models import ErrorState, SvState
+from bnpforecast.gp_core import KernelHyper, gaussian_kernel_matrix
 from bnpforecast.model_engine import (
     LINEAR_TAU2,
     MEAN_KINDS,
@@ -308,6 +309,91 @@ def test_linear_chain_equals_subspace_chain_at_full_weight(monkeypatch):
     assert np.max(np.abs(st_lin.f - st_sub.f)) < 1e-6
     assert st_lin.hyper == st_sub.hyper
     assert st_lin.error.sigma2 == pytest.approx(st_sub.error.sigma2, rel=1e-12)
+
+
+class _UnitRng:
+    """Stub generator whose normal vector is the i-th unit vector."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def standard_normal(self, n):
+        z = np.zeros(n)
+        z[self.i] = 1.0
+        return z
+
+
+def _rel(a, b):
+    return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("mean_kind, tau2, tol", [
+    ("GP", None, 1e-10), ("GPSub", 0.7, 1e-10), ("Linear", LINEAR_TAU2, 1e-6)])
+def test_mean_block_matches_dense_oracle(mean_kind, tau2, tol):
+    """Collapsed likelihood, conditional mean and noise map of the
+    precision-form mean block against plain-inverse oracles with
+    heteroskedastic errors: log N(r; 0, K1 + Sigma) with
+    K1 = (K^-1 + zeta (I - Phi0))^-1, mean P^-1 Sigma^-1 r, and W W' = P^-1."""
+    rng = np.random.default_rng(31)
+    T, K = 25, 3
+    X = rng.standard_normal((T, K))
+    r = np.tanh(X @ np.array([1.0, -0.6, 0.4])) + 0.5 * rng.standard_normal(T)
+    sigma = rng.uniform(0.1, 0.6, T)
+    hyper = KernelHyper(xi=0.9, phi=0.6)
+    zeta = None if tau2 is None else 1.0 / tau2
+    spec = ModelSpec(mean_kind, "Homosk", DS_H1)
+    ctx = me._GpContext(spec, WindowData(y=r, X=X, x_new=np.zeros(K), horizon=1))
+    if zeta is not None:
+        me._a_pieces(ctx, hyper, 0.5 * zeta)  # the cached A must follow zeta
+
+    A, _, logdetA = me._a_pieces(ctx, hyper, zeta)
+    cP, logdetP = me._p_pieces(A, sigma)
+    ll = me._collapsed_loglik(r, sigma, logdetA, cP, logdetP)
+
+    Kinv = np.linalg.inv(gaussian_kernel_matrix(X, hyper))
+    A_o = Kinv if zeta is None else Kinv + zeta * (np.eye(T) - ctx.Phi0)
+    K1 = np.linalg.inv(A_o)
+    C = K1 + np.diag(sigma)
+    _, logdetC = np.linalg.slogdet(C)
+    ll_o = -0.5 * (T * np.log(2 * np.pi) + logdetC + r @ np.linalg.solve(C, r))
+    assert abs(ll - ll_o) / abs(ll_o) < tol
+
+    Pinv = np.linalg.inv(A_o + np.diag(1.0 / sigma))
+    fbar_o = Pinv @ (r / sigma)
+    fbar = me._draw_f(r, sigma, cP, _ZeroRng())
+    assert _rel(fbar, fbar_o) < tol
+    W = np.column_stack([me._draw_f(r, sigma, cP, _UnitRng(i)) - fbar
+                         for i in range(T)])
+    assert _rel(W @ W.T, Pinv) < tol
+
+
+@pytest.mark.parametrize("mean_kind, budget", [("GP", 3), ("Linear", 4), ("GPSub", 5)])
+def test_sweep_factorization_budget(monkeypatch, mean_kind, budget):
+    """A sweep with a new hyperparameter proposal factors only what its math
+    needs: P at the current and proposed hyper, K at the proposed one, A at
+    the proposed one unless A = K^-1 (GP), and A at the current one only when
+    tau^2 moved (GPSub). No dense multi-column solve."""
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((40, 2))
+    y = np.sin(X[:, 0]) + 0.4 * rng.standard_normal(40)
+    data = WindowData(y=y, X=X, x_new=np.zeros(2), horizon=1)
+    spec = ModelSpec(mean_kind, "Homosk", DS_H1)
+    cfg = McmcConfig(n_iter=30, n_burn=5, seed=3)
+    ctx = me._GpContext(spec, data)
+    state = init_state(spec, data, cfg)
+    step_rng = np.random.default_rng(3)
+    mcmc_step(spec, data, state, step_rng, ctx)  # caches the current hyper
+
+    chol, solves = [], []
+    orig_chol, orig_solve = me.chol_psd, me.cho_solve
+    monkeypatch.setattr(me, "chol_psd",
+                        lambda *a, **k: (chol.append(k.get("what")), orig_chol(*a, **k))[1])
+    monkeypatch.setattr(me, "cho_solve",
+                        lambda c, b, **k: (solves.append(np.ndim(b)), orig_solve(c, b, **k))[1])
+    mcmc_step(spec, data, state, step_rng, ctx)
+    assert chol.count("kernel matrix") == 1  # the proposal's kernel, once
+    assert len(chol) <= budget, chol
+    assert solves and all(nd == 1 for nd in solves)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import multiprocessing
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -398,6 +399,7 @@ def cmd_run(cfg: RunConfig) -> int:
         "out_dir": cfg.out_dir, "draws_format": cfg.draws_format,
     } for c in pending]
     results: dict[str, dict] = {}
+    broken = None
     if tasks:
         # One path for any worker count: workers=1 is a pool of one, so every
         # cell runs under the same single-threaded numerics.
@@ -406,10 +408,18 @@ def cmd_run(cfg: RunConfig) -> int:
                                  initializer=_init_worker,
                                  initargs=(cfg.panel, cfg.sidecar)) as pool:
             for fut in as_completed([pool.submit(exec_cell, t) for t in tasks]):
-                rec = fut.result()
+                try:
+                    rec = fut.result()
+                except BrokenProcessPool as exc:  # a worker died; no queued cell will run
+                    broken = f"{type(exc).__name__}: {exc}"
+                    continue
                 results[rec["cell"]] = rec
                 if rec["status"] == "failed":
                     print(f"FAILED {rec['cell']}: {rec['error']}", file=sys.stderr)
+        if broken:
+            print(f"worker pool broke: {broken}", file=sys.stderr)
+            for c in pending:
+                results.setdefault(c.cell_id, {"status": "unfinished", "error": broken})
     manifest = {
         "version": __version__,
         "config": cfg.to_dict(),
@@ -433,8 +443,11 @@ def cmd_run(cfg: RunConfig) -> int:
             entry["error"] = rec["error"]
             failures.append(c.cell_id)
         manifest["cells"].append(entry)
-    with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+
+    def _write_manifest(p):
+        with open(p, "w") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=1)
+    _atomic_write(os.path.join(cfg.out_dir, "manifest.json"), _write_manifest)
     if failures:
         print(f"{len(failures)} cell(s) failed: {failures}", file=sys.stderr)
         return EXIT_PARTIAL

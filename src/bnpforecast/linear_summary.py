@@ -4,11 +4,12 @@ Fits LASSO regressions of model-implied predictive quantiles on the
 standardized predictors, one fit per probability level, with the penalty
 chosen by contiguous-block cross-validation. The objective is
 sum_t (Q_t - beta'x_t)^2 + lambda * sum_j |beta_j| (no 1/(2n) factor), so
-the soft-threshold in the coordinate update divides lambda by two.
+the optimality conditions hold the gradient X'r at lambda/2. Each fit is
+an exact active-set (feature-sign) solve on the Gram matrix, ending in a
+check of those conditions.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,15 +24,17 @@ __all__ = [
     "lasso_fit",
     "cross_validate",
     "quantile_r2",
-    "heatmap_data",
     "default_lambda_grid",
     "fit_quantile_paths",
-    "write_lasso_csv",
-    "write_r2_csv",
 ]
 
-MAX_SWEEPS = 100000
-COORD_TOL = 1e-8
+MAX_SWEEPS = 1000
+# KKT certificate: a gradient gap below KKT_RTOL times the largest term that
+# enters the gradient is rounding, not a violation.
+KKT_RTOL = 1e-12
+# Eigenvalues of the support's Gram block below RCOND times the largest are
+# treated as zero: the block is singular (more active columns than rows).
+RCOND = 1e-10
 
 
 @dataclass
@@ -74,11 +77,22 @@ class LassoFit:
 
 def lasso_fit(Qp: np.ndarray, X: np.ndarray, lam: float,
               beta0: np.ndarray | None = None,
-              max_sweeps: int = MAX_SWEEPS, tol: float = COORD_TOL) -> np.ndarray:
-    """Cyclic coordinate descent with soft-thresholding.
+              max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
+    """Exact LASSO by feature-sign active-set search on G = X'X, c = X'Q.
 
-    Expects standardized predictor columns and a centered response; the
-    update for column j is beta_j = S(X_j'r_{-j}, lam/2) / ||X_j||^2.
+    Expects standardized predictor columns and a centered response. At the
+    optimum the gradient g = c - G beta meets the KKT conditions
+    g_j = (lam/2) sign(beta_j) on the support and |g_j| <= lam/2 off it.
+    Each iteration checks them; while the support is optimal it adds the
+    largest violator with the sign of its gradient, then it solves the
+    signed system G_AA beta_A = c_A - (lam/2) theta_A on the support. When
+    a coefficient would change sign on the way, the step stops at its zero
+    and drops it (Lee, Battle, Raina & Ng 2007; Osborne, Presnell & Turlach
+    2000). A singular G_AA has no signed solution; the objective then falls
+    linearly along the null space until a coefficient reaches zero. Every
+    step lowers the objective, so the search cannot cycle. ``beta0`` supplies
+    the starting support and signs (warm start along a penalty grid), and
+    ``max_sweeps`` caps the iterations.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(Qp, dtype=float)
@@ -87,32 +101,56 @@ def lasso_fit(Qp: np.ndarray, X: np.ndarray, lam: float,
         raise ValueError("response length must match the predictor rows")
     if lam < 0.0:
         raise ValueError("penalty must be nonnegative")
-    norms = np.einsum("ij,ij->j", X, X)
-    if np.any(norms <= 0.0):
+    G = X.T @ X
+    if np.any(np.diag(G) <= 0.0):
         raise ValueError("zero-variance predictor column; standardize first")
-    beta = np.zeros(K) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    resid = y - X @ beta
+    c = X.T @ y
+    G_abs = np.abs(G)
     half = 0.5 * lam
+    beta = np.zeros(K) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    theta = np.sign(beta)
     for _ in range(max_sweeps):
-        delta = 0.0
-        for j in range(K):
-            b_old = beta[j]
-            rho = X[:, j] @ resid + norms[j] * b_old
-            b_new = 0.0
-            if rho > half:
-                b_new = (rho - half) / norms[j]
-            elif rho < -half:
-                b_new = (rho + half) / norms[j]
-            if b_new != b_old:
-                resid += X[:, j] * (b_old - b_new)
-                beta[j] = b_new
-                delta = max(delta, abs(b_new - b_old))
-        if delta < tol:
-            return beta
-    grad = X.T @ resid
+        g = c - G @ beta
+        # rounding in g grows with the terms it sums; below this it is noise
+        tol = KKT_RTOL * max(float(np.abs(c).max()), float((G_abs @ np.abs(beta)).max()))
+        A = np.flatnonzero(theta)
+        r = g[A] - half * theta[A]
+        if not A.size or np.abs(r).max() <= tol:
+            excess = np.where(theta == 0.0, np.abs(g) - half, 0.0)
+            j = int(np.argmax(excess))
+            if excess[j] <= tol:
+                return beta
+            theta[j] = np.sign(g[j])
+            A = np.flatnonzero(theta)
+            r = g[A] - half * theta[A]
+        # beta_A + d solves the signed system when G_AA d = r
+        w, V = np.linalg.eigh(G[np.ix_(A, A)])
+        null = w <= RCOND * w[-1]
+        z = V.T @ r
+        if null.any() and np.abs(z[null]).max() > tol:
+            # r has a null-space part: the objective falls without bound
+            # along it while the signs hold, so go to the first zero
+            d = V[:, null] @ z[null]
+            t = np.inf
+        else:
+            d = V[:, ~null] @ (z[~null] / w[~null])
+            t = 1.0
+        toward_zero = theta[A] * d < 0.0
+        if toward_zero.any():
+            cross = -beta[A][toward_zero] / d[toward_zero]
+            k = int(np.argmin(cross))
+            if cross[k] <= t:
+                beta[A] += cross[k] * d
+                drop = A[toward_zero][k]
+                beta[drop] = theta[drop] = 0.0
+                continue
+        if t == np.inf:  # no zero ahead: only rounding can get here
+            break
+        beta[A] += d
+    g = c - G @ beta
     raise RuntimeError(
-        f"coordinate descent failed to converge in {max_sweeps} sweeps "
-        f"(SSR {float(resid @ resid):.6g}, max |gradient| {float(np.abs(grad).max()):.6g})")
+        f"active-set LASSO failed to converge in {max_sweeps} iterations "
+        f"(SSR {float(np.sum((y - X @ beta) ** 2)):.6g}, max |gradient| {float(np.abs(g).max()):.6g})")
 
 
 def default_lambda_grid(Qp: np.ndarray, X: np.ndarray, n_points: int = 50,
@@ -176,19 +214,6 @@ def quantile_r2(Qp: np.ndarray, X: np.ndarray, beta: np.ndarray) -> float:
     return 1.0 - float(resid @ resid) / sst
 
 
-def heatmap_data(fits: dict[float, LassoFit], names: list[str],
-                 floor: float = 1e-3) -> list[tuple[str, float, float]]:
-    """(variable, p, standardized coefficient) triples above the display floor."""
-    out: list[tuple[str, float, float]] = []
-    for p in sorted(fits):
-        beta = fits[p].beta
-        for j, name in enumerate(names):
-            if abs(beta[j]) > floor:
-                out.append((name, p, float(beta[j])))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
-
-
 def fit_quantile_paths(paths: QuantilePathSet, X_raw: np.ndarray,
                        lambda_grid: np.ndarray | None = None,
                        folds: int = 5) -> dict[float, LassoFit]:
@@ -208,20 +233,3 @@ def fit_quantile_paths(paths: QuantilePathSet, X_raw: np.ndarray,
         fits[p] = LassoFit(beta=beta, lam=lam, r2=quantile_r2(q, Xs, beta),
                            intercept=center, p=p)
     return fits
-
-
-def write_lasso_csv(path, triples: list[tuple[str, float, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["variable", "p", "coefficient"])
-        for name, p, coef in triples:
-            w.writerow([name, "%g" % p, "%.10g" % coef])
-
-
-def write_r2_csv(path, fits: dict[float, LassoFit]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "r2", "lambda", "n_active"])
-        for p in sorted(fits):
-            f = fits[p]
-            w.writerow(["%g" % p, "%.10g" % f.r2, "%.10g" % f.lam, f.support.size])

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -262,6 +263,54 @@ def test_run_submits_longest_cells_first(panel_files, tmp_path, monkeypatch):
     assert submitted == expected
 
 
+def test_run_with_dead_worker_writes_manifest(panel_files, tmp_path, monkeypatch,
+                                               capsys):
+    """A worker that dies breaks the pool: every future not yet finished
+    raises BrokenProcessPool. The run still writes its manifest, marks the
+    cells without a result unfinished with the error, and exits partial."""
+    submitted = []
+
+    class _BrokenPool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            cell = cli.Cell(task["model_id"], task["dataset_label"], task["horizon"],
+                            task["origin"])
+            submitted.append(cell.cell_id)
+            fut = Future()
+            if len(submitted) == 1:
+                fut.set_result({"cell": cell.cell_id, "status": "ok"})
+            else:
+                fut.set_exception(BrokenProcessPool("a worker process terminated"))
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _BrokenPool)
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg["models"] = ["UC-SV"]
+    cached = cli.Cell("UC-SV", "none", 1, parse_quarter("2021Q1"))
+    for path in cli._cell_paths(cfg["out_dir"], cached, "csv"):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        open(path, "w").close()
+    assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == EXIT_PARTIAL
+    assert "worker pool broke: BrokenProcessPool" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out").count("manifest.json.tmp") == 0
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        cells = {c["cell"]: c for c in json.load(fh)["cells"]}
+    assert len(submitted) == 3 and cached.cell_id not in submitted
+    assert cells[cached.cell_id]["status"] == "cached"
+    assert cells[submitted[0]]["status"] == "ok"
+    for cid in submitted[1:]:
+        assert cells[cid]["status"] == "unfinished"
+        assert cells[cid]["error"] == "BrokenProcessPool: a worker process terminated"
+
+
 def test_failed_cell_logged_grid_continues(panel_files, tmp_path, capsys):
     cfg = _base_config(panel_files, tmp_path / "out")
     cfg["models"] = ["UC-SV"]
@@ -483,14 +532,14 @@ def test_summarize_lasso_failed_fit_keeps_other_models(experiment, tmp_path,
     def fit_or_fail(paths, X, *args, **kwargs):
         calls.append(len(calls))
         if len(calls) == 1:  # models are fitted in sorted order: GP-Homosk first
-            raise RuntimeError("coordinate descent failed to converge")
+            raise RuntimeError("active-set LASSO failed to converge")
         return real_fit(paths, X, *args, **kwargs)
 
     monkeypatch.setattr(cli, "fit_quantile_paths", fit_or_fail)
     assert main(["summarize-lasso", "--config", cfg_path]) == EXIT_PARTIAL
     assert len(calls) == 2
     err = capsys.readouterr().err
-    assert "GP-Homosk[Moderate]: error: RuntimeError: coordinate descent" in err
+    assert "GP-Homosk[Moderate]: error: RuntimeError: active-set LASSO" in err
     with open(out / "r2_h1.csv") as fh:
         rows = list(csv.reader(fh))[1:]
     assert {r[0] for r in rows} == {"Linear-Homosk[Moderate]"}

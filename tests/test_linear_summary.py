@@ -1,6 +1,5 @@
-"""Penalized linear summaries: coordinate descent, block CV, fit statistics."""
+"""Penalized linear summaries: active-set LASSO, block CV, fit statistics."""
 
-import csv
 import warnings
 
 import numpy as np
@@ -13,16 +12,45 @@ from bnpforecast.linear_summary import (
     cross_validate,
     default_lambda_grid,
     fit_quantile_paths,
-    heatmap_data,
     lasso_fit,
     quantile_r2,
-    write_lasso_csv,
-    write_r2_csv,
 )
+from bnpforecast import linear_summary
+from bnpforecast.data_pipeline import DatasetSpec, assemble_regression
 
 
 def _standardize(X):
     return (X - X.mean(axis=0)) / X.std(axis=0)
+
+
+def _coordinate_descent(y, X, lam, beta0=None, tol=1e-8, max_sweeps=100000):
+    """Reference solver: cyclic coordinate descent with soft-thresholding,
+    beta_j = S(X_j'r_{-j}, lam/2) / ||X_j||^2, until no coefficient moves by
+    tol in a sweep."""
+    norms = np.einsum("ij,ij->j", X, X)
+    beta = np.zeros(X.shape[1]) if beta0 is None else beta0.copy()
+    resid = y - X @ beta
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for j in range(X.shape[1]):
+            rho = X[:, j] @ resid + norms[j] * beta[j]
+            b_new = np.sign(rho) * max(abs(rho) - 0.5 * lam, 0.0) / norms[j]
+            if b_new != beta[j]:
+                resid += X[:, j] * (beta[j] - b_new)
+                delta = max(delta, abs(b_new - beta[j]))
+                beta[j] = b_new
+        if delta < tol:
+            return beta
+    raise RuntimeError("reference coordinate descent did not converge")
+
+
+def _kkt_gap(y, X, lam, beta):
+    """Largest violation of the optimality conditions of
+    sum (y - Xb)^2 + lam sum |b|, in units of the gradient X'r."""
+    grad = X.T @ (y - X @ beta)
+    active = beta != 0.0
+    return float(np.max(np.where(active, np.abs(grad - np.sign(beta) * lam / 2),
+                                 np.maximum(np.abs(grad) - lam / 2, 0.0))))
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +92,7 @@ def test_lasso_fit_container():
 
 
 # ---------------------------------------------------------------------------
-# coordinate descent
+# active-set solver
 
 
 def test_unpenalized_fit_equals_least_squares():
@@ -103,8 +131,59 @@ def test_kkt_conditions_hold_exactly(sparse_problem):
     grad = X.T @ (y - X @ beta)
     active = np.flatnonzero(beta)
     inactive = np.setdiff1d(np.arange(X.shape[1]), active)
-    assert np.max(np.abs(grad[active] - np.sign(beta[active]) * lam / 2)) < 1e-6
-    assert np.all(np.abs(grad[inactive]) <= lam / 2 + 1e-9)
+    assert np.max(np.abs(grad[active] - np.sign(beta[active]) * lam / 2)) < 1e-10
+    assert np.all(np.abs(grad[inactive]) <= lam / 2 + 1e-10)
+
+
+def test_warm_start_at_the_solution_is_certified_at_once(sparse_problem):
+    """A warm start that is already optimal passes the KKT check in the
+    first iteration and comes back unchanged."""
+    X, y, _ = sparse_problem
+    beta = lasso_fit(y, X, 30.0)
+    assert np.array_equal(lasso_fit(y, X, 30.0, beta0=beta, max_sweeps=1), beta)
+    with pytest.raises(RuntimeError, match="SSR"):
+        lasso_fit(y, X, 30.0, max_sweeps=1)
+
+
+def test_matches_coordinate_descent_along_warm_grid(sparse_problem):
+    """Along the 50-point grid, each fit warm-started from the previous one
+    as cross_validate does, the active-set solution agrees with the
+    reference coordinate descent run the same way."""
+    X, y, _ = sparse_problem
+    beta = ref = None
+    for lam in default_lambda_grid(y, X):
+        beta = lasso_fit(y, X, lam, beta0=beta)
+        ref = _coordinate_descent(y, X, lam, beta0=ref)
+        assert np.max(np.abs(beta - ref)) < 1e-6
+
+
+def test_wide_design_fits_meet_kkt(panel, monkeypatch):
+    """Eight origins against the 29 Moderate predictors, as summarize-lasso
+    sees a short evaluation window: every fit of the cross-validation and
+    the final fits meet the optimality conditions to rounding. Training
+    folds have 6 or 7 rows, so supports reach singular Gram blocks."""
+    data = assemble_regression(panel, DatasetSpec("Moderate", "PRICE", 1))
+    n = 8
+    X_raw = data.X[-n:]
+    assert X_raw.shape == (n, 29)
+    rng = np.random.default_rng(0)
+    offsets = np.array([-1.6, -0.8, 0.0, 0.8, 1.6])
+    Q = np.sort(data.y[-n:, None] + offsets + 0.3 * rng.standard_normal((n, 5)), axis=1)
+    calls = []
+    real_fit = linear_summary.lasso_fit
+
+    def recording_fit(Qp, X, lam, beta0=None):
+        beta = real_fit(Qp, X, lam, beta0=beta0)
+        calls.append((Qp, X, lam, beta))
+        return beta
+
+    monkeypatch.setattr(linear_summary, "lasso_fit", recording_fit)
+    fit_quantile_paths(QuantilePathSet(dates=np.arange(n), Q=Q), X_raw)
+    assert len(calls) == 5 * (5 * 50 + 1)
+    for Qp, X, lam, beta in calls:
+        lam_max = 2.0 * float(np.abs(X.T @ Qp).max())
+        assert _kkt_gap(Qp, X, lam, beta) <= 1e-10 * lam_max
+        assert np.count_nonzero(beta) <= np.linalg.matrix_rank(X)
 
 
 def test_solution_path_is_continuous(sparse_problem):
@@ -211,7 +290,7 @@ def test_cv_degenerate_folds():
 
 
 # ---------------------------------------------------------------------------
-# fit statistics and display helpers
+# fit statistics
 
 
 def test_quantile_r2_limits(sparse_problem):
@@ -221,27 +300,6 @@ def test_quantile_r2_limits(sparse_problem):
     assert quantile_r2(y, X, np.zeros(20)) == pytest.approx(0.0, abs=1e-12)
     with pytest.warns(UserWarning, match="constant"):
         assert np.isnan(quantile_r2(np.full(10, 2.0), X[:10], np.zeros(20)))
-
-
-def test_heatmap_data_enumeration():
-    names = ["a", "b", "c"]
-    zero = {p: LassoFit(beta=np.zeros(3), lam=1.0, r2=0.0, p=p)
-            for p in (0.05, 0.5)}
-    assert heatmap_data(zero, names) == []
-    fits = {
-        0.5: LassoFit(beta=np.array([0.0, 0.4, 0.0]), lam=1.0, r2=0.5, p=0.5),
-        0.05: LassoFit(beta=np.array([-0.2, 0.0, 1e-4]), lam=1.0, r2=0.5,
-                       p=0.05),
-    }
-    triples = heatmap_data(fits, names)
-    assert triples == [("a", 0.05, pytest.approx(-0.2)),
-                       ("b", 0.5, pytest.approx(0.4))]
-    # display floor is strict: exactly-at-floor coefficients are dropped
-    at_floor = {0.5: LassoFit(beta=np.array([1e-3, 0.0, 0.0]), lam=0.0,
-                              r2=0.0, p=0.5)}
-    assert heatmap_data(at_floor, names) == []
-    assert heatmap_data(at_floor, names, floor=9e-4) == \
-        [("a", 0.5, pytest.approx(1e-3))]
 
 
 def test_standardization_invariance():
@@ -279,22 +337,3 @@ def test_fit_quantile_paths_end_to_end():
         assert fit.r2 > 0.95
         assert fit.intercept == pytest.approx(Q[:, P_GRID.index(p)].mean())
         assert {0, 2} <= set(fit.support)
-
-
-def test_write_csvs(tmp_path):
-    fits = {0.5: LassoFit(beta=np.array([0.4, 0.0]), lam=2.0, r2=0.81, p=0.5),
-            0.9: LassoFit(beta=np.array([0.0, -0.3]), lam=1.0, r2=0.7, p=0.9)}
-    lpath = tmp_path / "lasso_1.csv"
-    write_lasso_csv(lpath, heatmap_data(fits, ["infl_exp", "slack"]))
-    with open(lpath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["variable", "p", "coefficient"]
-    assert rows[1] == ["infl_exp", "0.5", "0.4"]
-    assert rows[2][0] == "slack"
-
-    rpath = tmp_path / "r2_1.csv"
-    write_r2_csv(rpath, fits)
-    with open(rpath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["p", "r2", "lambda", "n_active"]
-    assert rows[1] == ["0.5", "0.81", "2", "1"]

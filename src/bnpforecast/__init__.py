@@ -8,8 +8,6 @@ scoring utilities.
 
 __version__ = "0.1.0"
 
-from . import data_pipeline, error_models, evaluation, gp_core, linear_summary, model_engine
-
 __all__ = [
     "data_pipeline",
     "gp_core",

@@ -11,6 +11,12 @@ workers import numpy after the thread-count defaults below are set, so
 they all use single-threaded numerics; with each cell owning an
 independent random stream derived from the master seed, results are
 byte-identical for any worker count.
+
+Only those workers import the samplers (``model_engine``, ``gp_core``,
+``error_models``) and scipy, which would cost every other command most of
+its start-up time; ``jsonschema`` is imported only when a config is read.
+So ``forecast_cell`` is a forwarder that imports the engine when called,
+and cells reach it through this module's global, which callers may wrap.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ import importlib.resources
 import json
 import multiprocessing
 import sys
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -33,17 +40,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
 from . import __version__
 from .data_pipeline import (
+    MIN_TRAIN_QUARTERS,
     DatasetSpec,
+    McmcConfig,
+    ModelSpec,
     assemble_regression,
+    assemble_target_only,
+    derive_cell_seed,
+    forecast_origins,
     format_quarter,
     load_panel,
+    model_grid,
     parse_quarter,
 )
 from .evaluation import (
@@ -63,16 +72,6 @@ from .evaluation import (
     write_scores_csv,
 )
 from .linear_summary import QuantilePathSet, fit_quantile_paths
-from .model_engine import (
-    MIN_TRAIN_QUARTERS,
-    McmcConfig,
-    ModelSpec,
-    assemble_target_only,
-    derive_cell_seed,
-    forecast_cell,
-    forecast_origins,
-    model_grid,
-)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -126,10 +125,8 @@ class RunConfig:
         return McmcConfig(**self.mcmc)
 
     def dataset_spec(self, variant: str, horizon: int) -> DatasetSpec:
-        include = self.include_expectations and self.expectations is not None
-        return DatasetSpec(variant=variant, target_series=self.target,
-                           horizon=horizon, include_expectations=include,
-                           expectations_series=self.expectations or "INFEXP")
+        return dataset_spec(self.target, self.expectations, self.include_expectations,
+                            variant, horizon)
 
     def to_dict(self) -> dict:
         return {
@@ -142,6 +139,15 @@ class RunConfig:
             "seed": self.seed, "workers": self.workers,
             "draws_format": self.draws_format, "min_train": self.min_train,
         }
+
+
+def dataset_spec(target: str, expectations: str | None, include_expectations: bool,
+                 variant: str, horizon: int) -> DatasetSpec:
+    """The design of one (variant, horizon): the expectations series enters
+    only when it is both named and included."""
+    return DatasetSpec(variant=variant, target_series=target, horizon=horizon,
+                       include_expectations=include_expectations and expectations is not None,
+                       expectations_series=expectations or "INFEXP")
 
 
 class ConfigError(Exception):
@@ -164,13 +170,13 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if isinstance(raw, dict) and overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    if jsonschema is not None:
-        validator = jsonschema.Draft202012Validator(_schema())
-        errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-        if errors:
-            err = errors[0]
-            where = "/" + "/".join(str(p) for p in err.absolute_path)
-            raise ConfigError(f"config schema violation at {where or '/'}: {err.message}")
+    import jsonschema
+    validator = jsonschema.Draft202012Validator(_schema())
+    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    if errors:
+        err = errors[0]
+        where = "/" + "/".join(str(p) for p in err.absolute_path)
+        raise ConfigError(f"config schema violation at {where or '/'}: {err.message}")
     merged = dict(_DEFAULTS)
     merged.update(raw)
     try:
@@ -295,6 +301,13 @@ def _atomic_write(path: str, write_fn) -> None:
     os.replace(tmp, path)
 
 
+def forecast_cell(*args, **kwargs):
+    """``model_engine.forecast_cell``, imported at call time so that only
+    the processes that estimate cells load the samplers and scipy."""
+    from .model_engine import forecast_cell as engine_forecast_cell
+    return engine_forecast_cell(*args, **kwargs)
+
+
 def exec_cell(task: dict) -> dict:
     """Estimate one cell in a pool worker set up by ``_init_worker``; write its
     draws and scores and return a status record."""
@@ -304,10 +317,8 @@ def exec_cell(task: dict) -> dict:
         mean_kind, error_kind = _split_model(cell.model_id)
         is_uc = mean_kind == "UC"
         variant = "AR1" if is_uc else cell.dataset_label
-        dspec = DatasetSpec(variant=variant, target_series=task["target"],
-                            horizon=cell.horizon,
-                            include_expectations=task["include_expectations"],
-                            expectations_series=task["expectations"] or "INFEXP")
+        dspec = dataset_spec(task["target"], task["expectations"],
+                             task["include_expectations"], variant, cell.horizon)
         key = (variant, cell.horizon, is_uc)
         if key not in _WORKER["full"]:
             _WORKER["full"][key] = assemble_target_only(panel, dspec) if is_uc else \
@@ -364,7 +375,7 @@ def exec_cell(task: dict) -> dict:
                 "seed": record["seed"], "runtime": pred.diagnostics["runtime"]}
     except Exception as exc:  # cell failures must not kill the grid
         return {"cell": cell.cell_id, "status": "failed",
-                "error": f"{type(exc).__name__}: {exc}"}
+                "error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +405,7 @@ def cmd_run(cfg: RunConfig) -> int:
         "model_id": c.model_id, "dataset_label": c.dataset_label,
         "horizon": c.horizon, "origin": c.origin,
         "target": cfg.target, "expectations": cfg.expectations,
-        "include_expectations": cfg.include_expectations and cfg.expectations is not None,
+        "include_expectations": cfg.include_expectations,
         "mcmc": cfg.mcmc, "seed": cfg.seed, "min_train": cfg.min_train,
         "out_dir": cfg.out_dir, "draws_format": cfg.draws_format,
     } for c in pending]
@@ -441,6 +452,8 @@ def cmd_run(cfg: RunConfig) -> int:
         }
         if rec and rec.get("error"):
             entry["error"] = rec["error"]
+            if "traceback" in rec:
+                entry["traceback"] = rec["traceback"]
             failures.append(c.cell_id)
         manifest["cells"].append(entry)
 

@@ -4,10 +4,14 @@ A panel is a date-by-series matrix of raw quarterly observations plus a
 per-series transformation code. Targets are h-quarter annualized log price
 changes; designs pair that target with transformed predictors observed h
 quarters earlier, so every row is a valid real-time forecasting case.
+
+The model grid's vocabulary (kinds, cell specs, chain settings, cell seeds,
+origins) lives here too, so the CLI can plan a grid without the samplers.
 """
 from __future__ import annotations
 
 import csv
+import hashlib
 import re
 import warnings
 from dataclasses import dataclass, field, replace
@@ -30,7 +34,17 @@ __all__ = [
     "assemble_regression",
     "principal_components",
     "load_panel",
-    "write_design_csv",
+    "MEAN_KINDS",
+    "ERROR_KINDS",
+    "MIN_TRAIN_QUARTERS",
+    "PC_BASIS_RANK",
+    "LINEAR_TAU2",
+    "ModelSpec",
+    "McmcConfig",
+    "model_grid",
+    "derive_cell_seed",
+    "assemble_target_only",
+    "forecast_origins",
 ]
 
 ALLOWED_TCODES = (1, 2, 3, 4, 5, 6, 7)
@@ -407,13 +421,107 @@ def load_panel(panel_csv: str, sidecar_csv: str) -> SeriesPanel:
     return SeriesPanel(np.asarray(dates), names, np.asarray(rows), tcodes, flags)
 
 
-def write_design_csv(data: RegressionData, path: str) -> None:
-    """Dump an aligned design to CSV for inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["origin", "realization", "y"] + data.names)
-        for t in range(data.T):
-            writer.writerow([format_quarter(int(data.origin_dates[t])),
-                             format_quarter(int(data.realization_dates[t])),
-                             repr(float(data.y[t]))] +
-                            [repr(float(v)) for v in data.X[t]])
+# ---------------------------------------------------------------------------
+# the model grid: what the CLI enumerates and the engine estimates
+
+MEAN_KINDS = ("UC", "Linear", "GP", "GPSub")
+ERROR_KINDS = ("Homosk", "DPM", "SV", "DPMSV")
+MIN_TRAIN_QUARTERS = 40
+PC_BASIS_RANK = 6
+# tau^2 value realizing the omega = 1 linear limit of the subspace model
+LINEAR_TAU2 = 1e-8
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One cell of the model grid.
+
+    The dataset specification always travels with the model because it
+    names the target series and horizon; the trend model ignores its
+    predictor variant.
+    """
+
+    mean_kind: str
+    error_kind: str
+    dataset: DatasetSpec
+    horizon: int | None = None
+
+    def __post_init__(self):
+        if self.mean_kind not in MEAN_KINDS:
+            raise ValueError(f"unknown mean kind {self.mean_kind!r}")
+        if self.error_kind not in ERROR_KINDS:
+            raise ValueError(f"unknown error kind {self.error_kind!r}")
+        if self.horizon is None:
+            object.__setattr__(self, "horizon", self.dataset.horizon)
+        elif self.horizon != self.dataset.horizon:
+            raise ValueError("model horizon must match the dataset horizon")
+
+    @property
+    def model_id(self) -> str:
+        return f"{self.mean_kind}-{self.error_kind}"
+
+    @property
+    def dataset_label(self) -> str:
+        # the trend model carries no predictors
+        if self.mean_kind == "UC":
+            return "none"
+        return self.dataset.variant
+
+    @property
+    def pinned_tau2(self) -> float | None:
+        return LINEAR_TAU2 if self.mean_kind == "Linear" else None
+
+
+@dataclass
+class McmcConfig:
+    """Chain length, seeding, and proposal-adaptation settings."""
+
+    n_iter: int = 20000
+    n_burn: int = 10000
+    thin: int = 1
+    seed: int | None = None
+    adapt_window: int = 25
+    hyper_step: float = 0.3
+    alpha_step: float = 0.5
+    fix_kernel_hyper: bool = False
+    pc_rank: int = PC_BASIS_RANK
+
+    def __post_init__(self):
+        if not 0 <= self.n_burn < self.n_iter:
+            raise ValueError("need 0 <= n_burn < n_iter")
+        if self.thin < 1:
+            raise ValueError("thin must be >= 1")
+
+    @property
+    def n_retained(self) -> int:
+        return (self.n_iter - self.n_burn + self.thin - 1) // self.thin
+
+
+def model_grid(mean_kinds=MEAN_KINDS, error_kinds=ERROR_KINDS) -> list[str]:
+    """All mean x error identifiers, benchmark (UC-SV) included."""
+    return [f"{m}-{e}" for m in mean_kinds for e in error_kinds]
+
+
+def derive_cell_seed(master_seed: int, model_id: str, dataset: str, horizon: int,
+                     origin: str) -> int:
+    """Order-independent per-cell seed from the master seed and cell identity."""
+    key = f"{master_seed}|{model_id}|{dataset}|{horizon}|{origin}".encode()
+    return int.from_bytes(hashlib.sha256(key).digest()[:16], "big")
+
+
+def assemble_target_only(panel, dspec: DatasetSpec) -> RegressionData:
+    """Target series alone (no predictors), for the trend benchmark."""
+    prices = panel.column(dspec.target_series)
+    finite = np.isfinite(prices)
+    lo = int(np.argmax(finite))
+    hi = len(prices) - int(np.argmax(finite[::-1]))
+    p, pdates = prices[lo:hi], panel.dates[lo:hi]
+    y = build_target(p, dspec.horizon)
+    return RegressionData(y, np.empty((y.size, 0)), pdates[:-dspec.horizon],
+                          dspec.horizon, [])
+
+
+def forecast_origins(data: RegressionData, eval_start: int, eval_end: int) -> list[int]:
+    """Origins whose realization date origin+h falls inside the window."""
+    h = data.horizon
+    return [int(o) for o in data.origin_dates if eval_start <= o + h <= eval_end]

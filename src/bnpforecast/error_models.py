@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import special
 
+from .data_pipeline import ERROR_KINDS
+
 __all__ = [
     "KAPPA",
     "TRUNCATION_CAP",
@@ -50,8 +52,6 @@ TRUNCATION_CAP = 100
 
 # floor inside log(eps^2) guarding zero residuals
 LOG_RESID_FLOOR = 1e-6
-
-ERROR_KINDS = ("Homosk", "DPM", "SV", "DPMSV")
 
 
 @dataclass(frozen=True)

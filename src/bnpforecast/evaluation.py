@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data_pipeline import AlignmentError, format_quarter, parse_quarter
 
@@ -35,7 +34,6 @@ __all__ = [
     "write_scores_csv",
     "write_relative_table_csv",
     "write_cumulative_csv",
-    "write_subsample_csv",
     "write_calibration_csv",
 ]
 
@@ -131,6 +129,21 @@ def _flatten_components(draw_components):
             np.concatenate(vars_))
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a non-empty 1-D float array, rounded as scipy
+    1.17's ``special.logsumexp`` rounds it: log1p(s/m) + log(m) + max, where
+    m entries tie at the max and s sums exp(a - max) over the others."""
+    a_max = a.max()
+    tie = a == a_max
+    m = float(np.count_nonzero(tie))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(tie, -np.inf, a) - a_max))
+        out = np.log1p(s / m) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def log_pred_likelihood(draw_components, y: float) -> float:
     """Log of the draw-averaged Gaussian mixture density at the outcome.
 
@@ -149,7 +162,7 @@ def log_pred_likelihood(draw_components, y: float) -> float:
             return -math.inf
         logw, dev, vars_ = logw[keep], dev[keep], vars_[keep]
     logpdf = -0.5 * (np.log(2.0 * math.pi * vars_) + dev * dev / vars_)
-    return float(logsumexp(logw + logpdf))
+    return _logsumexp(logw + logpdf)
 
 
 def mse(errors) -> float:
@@ -331,20 +344,6 @@ def write_cumulative_csv(path, dates: np.ndarray, paths: dict[str, np.ndarray]) 
     rows = []
     for i, d in enumerate(dates):
         rows.append([format_quarter(int(d))] + [_fmt(float(paths[m][i])) for m in models])
-    _write_rows(path, header, rows)
-
-
-def write_subsample_csv(path, table: dict[str, dict[str, float]]) -> None:
-    """table: model -> {window label -> ratio}."""
-    labels: list[str] = []
-    for per_model in table.values():
-        for lab in per_model:
-            if lab not in labels:
-                labels.append(lab)
-    header = ["model"] + labels
-    rows = []
-    for model in sorted(table):
-        rows.append([model] + [_fmt(table[model].get(lab, float("nan"))) for lab in labels])
     _write_rows(path, header, rows)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 from scipy.special import expit, gammainc, gammaincinv, logit
 
-from .data_pipeline import principal_components
+from .data_pipeline import PC_BASIS_RANK, principal_components
 
 __all__ = [
     "SingularKernelError",
@@ -38,8 +38,6 @@ __all__ = [
     "gp_predict",
     "chol_psd",
 ]
-
-PC_BASIS_RANK = 6
 
 
 class SingularKernelError(RuntimeError):

@@ -22,7 +22,6 @@ distinct retained hyperparameter.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 import warnings
@@ -33,16 +32,24 @@ from scipy.linalg import cho_solve, qr, solve_triangular
 from scipy.linalg.lapack import dpotri
 
 from .data_pipeline import (
+    LINEAR_TAU2,
+    MEAN_KINDS,
+    MIN_TRAIN_QUARTERS,
+    PC_BASIS_RANK,
     DatasetSpec,
+    McmcConfig,
+    ModelSpec,
     RegressionData,
     assemble_regression,
-    build_target,
+    assemble_target_only,
+    derive_cell_seed,
     format_quarter,
+    forecast_origins,
+    model_grid,
     parse_quarter,
     principal_components,
 )
 from .error_models import (
-    ERROR_KINDS,
     DpmPriors,
     ErrorState,
     SvPriors,
@@ -54,7 +61,6 @@ from .error_models import (
 )
 from .evaluation import P_GRID
 from .gp_core import (
-    PC_BASIS_RANK,
     AdaptiveStep,
     GpState,
     KernelHyper,
@@ -93,84 +99,12 @@ __all__ = [
     "inefficiency_factor",
 ]
 
-MEAN_KINDS = ("UC", "Linear", "GP", "GPSub")
-
-# tau^2 value realizing the omega = 1 linear limit of the subspace model
-LINEAR_TAU2 = 1e-8
-
-MIN_TRAIN_QUARTERS = 40
-
 UC_PRIOR_INIT_VAR = 10.0        # trend_1 ~ N(y_1, this)
 UC_TREND_VAR_PRIOR = (3.0, 1.0)  # InvGamma(shape, rate) on sigma2_eta
 
 
 class McmcError(RuntimeError):
     """Chain produced a non-finite state."""
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One cell of the model grid.
-
-    The dataset specification always travels with the model because it
-    names the target series and horizon; the trend model ignores its
-    predictor variant.
-    """
-
-    mean_kind: str
-    error_kind: str
-    dataset: DatasetSpec
-    horizon: int | None = None
-
-    def __post_init__(self):
-        if self.mean_kind not in MEAN_KINDS:
-            raise ValueError(f"unknown mean kind {self.mean_kind!r}")
-        if self.error_kind not in ERROR_KINDS:
-            raise ValueError(f"unknown error kind {self.error_kind!r}")
-        if self.horizon is None:
-            object.__setattr__(self, "horizon", self.dataset.horizon)
-        elif self.horizon != self.dataset.horizon:
-            raise ValueError("model horizon must match the dataset horizon")
-
-    @property
-    def model_id(self) -> str:
-        return f"{self.mean_kind}-{self.error_kind}"
-
-    @property
-    def dataset_label(self) -> str:
-        # the trend model carries no predictors
-        if self.mean_kind == "UC":
-            return "none"
-        return self.dataset.variant
-
-    @property
-    def pinned_tau2(self) -> float | None:
-        return LINEAR_TAU2 if self.mean_kind == "Linear" else None
-
-
-@dataclass
-class McmcConfig:
-    """Chain length, seeding, and proposal-adaptation settings."""
-
-    n_iter: int = 20000
-    n_burn: int = 10000
-    thin: int = 1
-    seed: int | None = None
-    adapt_window: int = 25
-    hyper_step: float = 0.3
-    alpha_step: float = 0.5
-    fix_kernel_hyper: bool = False
-    pc_rank: int = PC_BASIS_RANK
-
-    def __post_init__(self):
-        if not 0 <= self.n_burn < self.n_iter:
-            raise ValueError("need 0 <= n_burn < n_iter")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
-
-    @property
-    def n_retained(self) -> int:
-        return (self.n_iter - self.n_burn + self.thin - 1) // self.thin
 
 
 @dataclass
@@ -240,18 +174,6 @@ class PredictiveDraws:
     components: list | None = None
     y_true: float | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def model_grid(mean_kinds=MEAN_KINDS, error_kinds=ERROR_KINDS) -> list[str]:
-    """All mean x error identifiers, benchmark (UC-SV) included."""
-    return [f"{m}-{e}" for m in mean_kinds for e in error_kinds]
-
-
-def derive_cell_seed(master_seed: int, model_id: str, dataset: str, horizon: int,
-                     origin: str) -> int:
-    """Order-independent per-cell seed from the master seed and cell identity."""
-    key = f"{master_seed}|{model_id}|{dataset}|{horizon}|{origin}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:16], "big")
 
 
 # ---------------------------------------------------------------------------
@@ -766,24 +688,6 @@ def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
 
 # ---------------------------------------------------------------------------
 # recursive experiment
-
-
-def assemble_target_only(panel, dspec: DatasetSpec) -> RegressionData:
-    """Target series alone (no predictors), for the trend benchmark."""
-    prices = panel.column(dspec.target_series)
-    finite = np.isfinite(prices)
-    lo = int(np.argmax(finite))
-    hi = len(prices) - int(np.argmax(finite[::-1]))
-    p, pdates = prices[lo:hi], panel.dates[lo:hi]
-    y = build_target(p, dspec.horizon)
-    return RegressionData(y, np.empty((y.size, 0)), pdates[:-dspec.horizon],
-                          dspec.horizon, [])
-
-
-def forecast_origins(data: RegressionData, eval_start: int, eval_end: int) -> list[int]:
-    """Origins whose realization date origin+h falls inside the window."""
-    h = data.horizon
-    return [int(o) for o in data.origin_dates if eval_start <= o + h <= eval_end]
 
 
 def make_window(full: RegressionData, panel, dspec: DatasetSpec, origin: int,

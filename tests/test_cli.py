@@ -328,6 +328,8 @@ def test_failed_cell_logged_grid_continues(panel_files, tmp_path, capsys):
         cells = {c["cell"]: c for c in json.load(fh)["cells"]}
     assert cells["UC-SV_none_1_2021Q2"]["status"] == "failed"
     assert "IsADirectoryError" in cells["UC-SV_none_1_2021Q2"]["error"]
+    trace = cells["UC-SV_none_1_2021Q2"]["traceback"]
+    assert "IsADirectoryError" in trace and "_atomic_write" in trace
     ok = [c for c in cells.values() if c["status"] == "ok"]
     assert len(ok) == 3
 
@@ -586,14 +588,29 @@ def test_console_script_roundtrip(panel_files, tmp_path):
     assert bad.returncode == EXIT_CONFIG
     assert "missing.json" in bad.stderr
 
-def test_import_leaves_scipy_stats_unloaded():
-    """No command pays for importing scipy.stats: the package and its CLI
-    use scipy.linalg and scipy.special only."""
+def test_only_run_workers_import_scipy(experiment, tmp_path):
+    """Importing the package and its CLI loads neither scipy nor jsonschema,
+    and no command but ``run``'s workers loads scipy: ``validate``, ``report``
+    and ``summarize-lasso`` never estimate a cell. ``report --out`` reads no
+    config, so it does not load jsonschema either."""
+    out = tmp_path / "out"
+    shutil.copytree(os.path.join(experiment["out_dir"], "cells"), out / "cells")
+    cfg_path = _write_config(tmp_path / "c.json", dict(experiment["cfg"], out_dir=str(out)))
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(bnpforecast.__file__)))
     env = {**os.environ, "PYTHONPATH": src_dir}
-    code = ("import sys, bnpforecast, bnpforecast.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    runs = [
+        (None, ("scipy", "jsonschema")),
+        (["validate", "--config", cfg_path], ("scipy",)),
+        (["report", "--out", str(out)], ("scipy", "jsonschema")),
+        (["summarize-lasso", "--config", cfg_path], ("scipy",)),
+    ]
+    for argv, banned in runs:
+        code = ("import json, sys, bnpforecast, bnpforecast.cli\n"
+                f"rc = bnpforecast.cli.main({argv!r}) if {argv!r} else 0\n"
+                "print(json.dumps([rc, sorted(sys.modules)]))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        rc, modules = json.loads(res.stdout.strip().splitlines()[-1])
+        assert rc == EXIT_OK, (argv, res.stderr)
+        assert [m for m in modules if m.split(".")[0] in banned] == [], argv

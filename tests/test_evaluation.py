@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
+from bnpforecast import evaluation
 from bnpforecast.data_pipeline import AlignmentError, parse_quarter
 from bnpforecast.evaluation import (
     P_GRID,
@@ -28,7 +29,6 @@ from bnpforecast.evaluation import (
     write_cumulative_csv,
     write_relative_table_csv,
     write_scores_csv,
-    write_subsample_csv,
 )
 from bnpforecast.model_engine import PredictiveDraws
 
@@ -158,6 +158,54 @@ def test_lpl_zero_variance_limits():
     assert np.isfinite(mixed)
     with pytest.raises(ValueError):
         log_pred_likelihood([], 0.0)
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(7)
+    for _ in range(400):  # lengths 1-500, spreads from 1e-3 to 1e3
+        n = int(rng.integers(1, 501))
+        yield rng.normal(rng.normal(0.0, 50.0), 10.0 ** rng.uniform(-3.0, 3.0), n)
+    for _ in range(100):  # ties at the max, and at every value
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), int(rng.integers(2, 200)))
+        a[rng.choice(a.size, int(rng.integers(2, a.size + 1)), replace=False)] = a.max()
+        yield a
+        yield rng.integers(-3, 3, int(rng.integers(1, 50))).astype(float)
+    for _ in range(100):  # some entries -inf
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), int(rng.integers(2, 200)))
+        a[rng.random(a.size) < 0.3] = -np.inf
+        yield a
+    for n in (1, 2, 7):
+        yield np.full(n, -np.inf)
+        yield np.array([np.inf] + [0.5] * (n - 1))
+        yield np.array([np.inf] * n + [-np.inf, 3.0])
+        yield np.array([-np.inf] * n + [2.0])
+
+
+def test_logsumexp_port_equals_scipy():
+    """The port rounds exactly as scipy.special.logsumexp does."""
+    for a in _logsumexp_cases():
+        ours, ref = evaluation._logsumexp(a), float(special.logsumexp(a))
+        assert ours == ref or (math.isnan(ours) and math.isnan(ref)), a
+
+
+def test_lpl_equals_scipy_logsumexp_on_fixtures(monkeypatch):
+    """log_pred_likelihood returns the floats it returned with scipy's
+    logsumexp, on this file's predictive fixtures."""
+    cases = [([(0.0, 0.0, 1.0)], 0.0), ([(0.0, 0.0, 1.0)], 1e4),
+             ([(0.0, 0.0, 1.0), (1e4, 0.0, 1.0)], 1e4),
+             ([(1.5, 0.0, 0.0), (0.0, 0.0, 1.0)], 2.0),
+             ([(0.2, np.array([-1.0, 0.0, 2.0]), np.array([0.5, 1.0, 0.25]),
+                np.array([0.2, 0.5, 0.3]))], 0.6),
+             ([(0.4, 0.1, 0.8), (-0.2, 0.0, 1.5), (0.1, np.array([-1.0, 0.5]),
+                np.array([0.6, 0.9]), np.array([0.3, 0.7]))], 0.25)]
+    comps = [(0.4, 0.1, 0.8), (-0.2, 0.0, 1.5), (0.3, -0.5, 0.6)]
+    cases += [(comps, 0.7), (comps[::-1], 0.7), (comps * 3, 0.7)]
+    cases += [(pr.components, pr.y_true) for pr in
+              (_fake_pred(8000, 0.4, 0.2, 1.0), _fake_pred(8001, -0.6, 0.1, 0.8),
+               _fake_pred(8002, 1.2, 0.9, 1.3))]
+    ported = [log_pred_likelihood(c, y) for c, y in cases]
+    monkeypatch.setattr(evaluation, "_logsumexp", lambda a: float(special.logsumexp(a)))
+    assert [log_pred_likelihood(c, y) for c, y in cases] == ported
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +466,6 @@ def test_csv_writers_roundtrip(tmp_path):
         crows = list(csv.reader(fh))
     assert crows[0] == ["origin", "GP-SV"]
     assert float(crows[2][1]) == pytest.approx(0.3)
-
-    bpath = tmp_path / "qs_subsamples.csv"
-    write_subsample_csv(bpath, {"GP-SV": {"1980-1990": 0.9}})
-    with open(bpath) as fh:
-        brows = list(csv.reader(fh))
-    assert brows[0] == ["model", "1980-1990"]
-    assert float(brows[1][1]) == pytest.approx(0.9)
 
     kpath = tmp_path / "calibration_GP-SV.csv"
     grid = np.linspace(0.0, 1.0, 5)

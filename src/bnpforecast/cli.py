@@ -450,6 +450,8 @@ def cmd_run(cfg: RunConfig) -> int:
                                      c.horizon, format_quarter(c.origin)),
             "status": status,
         }
+        if rec and "runtime" in rec:  # chain seconds, for cells run by this invocation
+            entry["runtime"] = rec["runtime"]
         if rec and rec.get("error"):
             entry["error"] = rec["error"]
             if "traceback" in rec:

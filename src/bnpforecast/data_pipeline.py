@@ -14,7 +14,7 @@ import csv
 import hashlib
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "ERROR_KINDS",
     "MIN_TRAIN_QUARTERS",
     "PC_BASIS_RANK",
-    "LINEAR_TAU2",
     "ModelSpec",
     "McmcConfig",
     "model_grid",
@@ -428,8 +427,6 @@ MEAN_KINDS = ("UC", "Linear", "GP", "GPSub")
 ERROR_KINDS = ("Homosk", "DPM", "SV", "DPMSV")
 MIN_TRAIN_QUARTERS = 40
 PC_BASIS_RANK = 6
-# tau^2 value realizing the omega = 1 linear limit of the subspace model
-LINEAR_TAU2 = 1e-8
 
 
 @dataclass(frozen=True)
@@ -466,10 +463,6 @@ class ModelSpec:
         if self.mean_kind == "UC":
             return "none"
         return self.dataset.variant
-
-    @property
-    def pinned_tau2(self) -> float | None:
-        return LINEAR_TAU2 if self.mean_kind == "Linear" else None
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -424,13 +424,15 @@ def _sv_ffbs(ystar: np.ndarray, s: np.ndarray, mu: float, rho: float, q: float,
     """Forward filter, backward sample of the log-variance path.
 
     Observation: ystar_t = h_t + m_{s_t} + N(0, v_{s_t}); state AR(1) with
-    stationary initial distribution.
+    stationary initial distribution. The recursions run on Python floats,
+    which round each operation exactly as numpy's float64 scalars do.
     """
     T = ystar.size
-    obs = ystar - _SV_M[s]
-    v = _SV_V[s]
-    m = np.empty(T)
-    C = np.empty(T)
+    mu, rho, q = float(mu), float(rho), float(q)
+    obs = (ystar - _SV_M[s]).tolist()
+    v = _SV_V[s].tolist()
+    m = [0.0] * T
+    C = [0.0] * T
     a = mu
     R = q / (1.0 - rho * rho)
     for t in range(T):
@@ -440,11 +442,11 @@ def _sv_ffbs(ystar: np.ndarray, s: np.ndarray, mu: float, rho: float, q: float,
         gain = R / (R + v[t])
         m[t] = a + gain * (obs[t] - a)
         C[t] = (1.0 - gain) * R
-    h = np.empty(T)
-    z = rng.standard_normal(T)
+    h = [0.0] * T
+    z = rng.standard_normal(T).tolist()
     h[-1] = m[-1] + math.sqrt(max(C[-1], 0.0)) * z[-1]
-    back_mean = np.empty(T)
-    back_var = np.empty(T)
+    back_mean = [0.0] * T
+    back_var = [0.0] * T
     back_mean[-1], back_var[-1] = m[-1], C[-1]
     for t in range(T - 2, -1, -1):
         prec = 1.0 / C[t] + rho * rho / q
@@ -453,8 +455,8 @@ def _sv_ffbs(ystar: np.ndarray, s: np.ndarray, mu: float, rho: float, q: float,
         h[t] = mean + math.sqrt(var) * z[t]
         back_mean[t], back_var[t] = mean, var
     if return_moments:
-        return h, back_mean, back_var
-    return h
+        return np.array(h), np.array(back_mean), np.array(back_var)
+    return np.array(h)
 
 
 # Exact ports of scipy 1.17's truncnorm.rvs, beta.logpdf and geninvgauss.rvs

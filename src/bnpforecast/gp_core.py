@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, qr
 from scipy.special import expit, gammainc, gammaincinv, logit
 
 from .data_pipeline import PC_BASIS_RANK, principal_components
@@ -107,7 +107,11 @@ def squared_distances(X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
 
 
 def kernel_from_sqdist(D2: np.ndarray, hyper: KernelHyper) -> np.ndarray:
-    return hyper.xi * np.exp(-0.5 * hyper.phi * D2)
+    """xi * exp(-(phi/2) D2), computed in place in one new array."""
+    K = (-0.5 * hyper.phi) * D2
+    np.exp(K, out=K)
+    K *= hyper.xi
+    return K
 
 
 def gaussian_kernel_matrix(X: np.ndarray, hyper: KernelHyper) -> np.ndarray:

@@ -14,11 +14,18 @@ Cholesky factors of K, A and P. K^{-1} is formed once per kernel
 hyperparameter by LAPACK ``dpotri`` on the factor of K, and the factor of
 A is kept per (hyperparameter, tau^2). A sweep that proposes a new
 hyperparameter therefore costs three T^3/3 factorizations for GP (P at the
-current and at the proposed hyperparameter, K at the proposed one), four
-for Linear (plus A at the proposed one) and five for GPSub (plus A at the
-current one, after every tau^2 move), and one ``dpotri``. The predictive
-conditional at a new point takes one Cholesky of the augmented kernel per
-distinct retained hyperparameter.
+current and at the proposed hyperparameter, K at the proposed one) and
+five for GPSub (plus A at the proposed one, and A at the current one after
+every tau^2 move), and one ``dpotri``.
+
+Linear is the exact tau^2 -> 0 limit of GPSub: f = U beta on the window's
+orthonormal basis U (k <= 29 columns), with beta ~ N(0, M^{-1}) and
+M = U'K^{-1}U. Its A and P are the k x k precisions of beta, M and
+G = M + U'Sigma^{-1}U, so a sweep with a new hyperparameter factors one
+T x T matrix (K at the proposal, then M = W'W with W = L_K^{-1} U) and
+calls no ``dpotri``. The predictive conditional at a new point takes one
+Cholesky of the augmented kernel per distinct retained hyperparameter for
+GP and GPSub; Linear's is the basis projection of f at the origin row.
 """
 from __future__ import annotations
 
@@ -28,11 +35,10 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, qr, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg import qr
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 from .data_pipeline import (
-    LINEAR_TAU2,
     MEAN_KINDS,
     MIN_TRAIN_QUARTERS,
     PC_BASIS_RANK,
@@ -50,10 +56,7 @@ from .data_pipeline import (
     principal_components,
 )
 from .error_models import (
-    DpmPriors,
     ErrorState,
-    SvPriors,
-    SvState,
     error_mean_offsets,
     error_sweep,
     error_variance_diag,
@@ -62,7 +65,6 @@ from .error_models import (
 from .evaluation import P_GRID
 from .gp_core import (
     AdaptiveStep,
-    GpState,
     KernelHyper,
     SingularKernelError,
     chol_psd,
@@ -75,7 +77,6 @@ from .gp_core import (
 __all__ = [
     "MEAN_KINDS",
     "P_GRID",
-    "LINEAR_TAU2",
     "MIN_TRAIN_QUARTERS",
     "McmcError",
     "ModelSpec",
@@ -180,10 +181,12 @@ class PredictiveDraws:
 # window context: per-window precomputations and per-hyper factor caches
 
 
-def _window_basis(X: np.ndarray, x_new: np.ndarray | None, force_pc: bool,
+def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray | None,
                   pc_rank: int) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Shrinkage-target basis for the window (raw predictors or PC scores)."""
+    """Shrinkage-target basis for the window: the raw predictors, or their
+    leading PC scores for the Large variant and for windows with K >= T."""
     T, K = X.shape
+    force_pc = spec.dataset is not None and spec.dataset.variant == "Large"
     if force_pc or K >= T:
         r = min(pc_rank, T - 1, K)
         scores, loadings = principal_components(X, r, return_loadings=True)
@@ -196,20 +199,27 @@ def _window_basis(X: np.ndarray, x_new: np.ndarray | None, force_pc: bool,
 class _HyperSlot:
     """Factors cached for one kernel hyperparameter.
 
-    ``kinv`` and the cached A carry their values in the lower triangle
-    only: ``dpotri`` fills one triangle, and every consumer (the lower
-    Cholesky factorizations of A and P, and the solves against them) reads
-    that triangle alone, so the upper one is never mirrored.
+    GP and GPSub keep K^{-1} and log det K, and GPSub adds the prior
+    precision A at one zeta. ``kinv`` and the cached A carry their values in
+    the lower triangle only: ``dpotri`` fills one triangle, and every
+    consumer (the lower Cholesky factorizations of A and P, and the solves
+    against them) reads that triangle alone, so the upper one is never
+    mirrored. Linear keeps only its coefficient precision M = U'K^{-1}U,
+    as ``prec``.
     """
 
-    kinv: np.ndarray
-    logdet_k: float
+    kinv: np.ndarray | None
+    logdet_k: float | None
     zeta: float | None = None
-    prec: tuple | None = None  # (A, chol A, log det A) at zeta
+    prec: tuple | None = None  # (A, chol A, log det A) at zeta; Linear: M
 
 
 class _GpContext:
-    """Precomputed quantities and factor caches for one estimation window."""
+    """Precomputed quantities and factor caches for one estimation window.
+
+    ``U`` is the window basis's orthonormal factor for Linear and None
+    otherwise; GPSub keeps the projector Phi0 = U U' and Q = I - Phi0.
+    """
 
     def __init__(self, spec: ModelSpec, data: WindowData, pc_rank: int = PC_BASIS_RANK,
                  fix_kernel_hyper: bool = False):
@@ -218,33 +228,36 @@ class _GpContext:
         self.fix_kernel_hyper = fix_kernel_hyper
         self.D2 = squared_distances(data.X)
         self.T = data.T
+        self.U = None
         self.Phi0 = None
         self.Q = None
         self.basis_rank = None
         if spec.mean_kind in ("Linear", "GPSub"):
-            force_pc = spec.dataset is not None and spec.dataset.variant == "Large"
-            B, b_new, k = _window_basis(data.X, data.x_new, force_pc, pc_rank)
+            B, _, k = _window_basis(spec, data.X, None, pc_rank)
             Qb, R = qr(B, mode="economic")
             dR = np.abs(np.diag(R))
             if dR.min() <= 1e-10 * max(dR.max(), 1.0):
                 raise SingularKernelError(
                     "projection basis is rank deficient; drop collinear columns")
-            self.Phi0 = Qb @ Qb.T
-            self.Q = np.eye(self.T) - self.Phi0
             self.basis_rank = k
-            self.basis = B
-            self.basis_new = b_new
+            if spec.mean_kind == "Linear":
+                self.U = Qb
+            else:
+                self.Phi0 = Qb @ Qb.T
+                self.Q = np.eye(self.T) - self.Phi0
         # two-slot kernel cache: current hyper and latest proposal
         self._kp: list[tuple[tuple[float, float], _HyperSlot]] = []
 
     def kernel_pieces(self, hyper: KernelHyper) -> _HyperSlot:
         """The cached factor slot of the Gaussian kernel at this hyperparameter.
 
-        A slot holds K^{-1} (lower triangle only; see ``_HyperSlot``),
-        log det K, and once ``_a_pieces`` has asked for them, the prior
-        precision A at one zeta with its Cholesky factor and log det A. The
-        two slots hold the last two hyperparameters asked for, the current
-        one and the latest proposal; a hit moves its slot to the back.
+        For GP and GPSub a slot holds K^{-1} (lower triangle only; see
+        ``_HyperSlot``), log det K, and once ``_a_pieces`` has asked for
+        them, the prior precision A at one zeta with its Cholesky factor and
+        log det A. For Linear it holds M = W'W with W = L^{-1} U, where L is
+        the Cholesky factor of K, with its factor and log det M. The two
+        slots hold the last two hyperparameters asked for, the current one
+        and the latest proposal; a hit moves its slot to the back.
         """
         key = (hyper.xi, hyper.phi)
         for i, (k, slot) in enumerate(self._kp):
@@ -253,61 +266,99 @@ class _GpContext:
                 return slot
         K = kernel_from_sqdist(self.D2, hyper)
         cK, _ = chol_psd(K, what="kernel matrix")
-        logdet_k = 2.0 * float(np.sum(np.log(np.diag(cK))))
-        Kinv, _ = dpotri(cK, lower=1, overwrite_c=1)
-        slot = _HyperSlot(Kinv, logdet_k)
+        if self.U is not None:
+            W = dtrtrs(cK, self.U, lower=1)[0]
+            M = W.T @ W
+            cM = _chol_spd(M, "basis precision")
+            slot = _HyperSlot(None, None, prec=(M, cM, _logdet(cM)))
+        else:
+            logdet_k = 2.0 * float(np.sum(np.log(np.diag(cK))))
+            Kinv, _ = dpotri(cK, lower=1, overwrite_c=1)
+            slot = _HyperSlot(Kinv, logdet_k)
         self._kp.append((key, slot))
         if len(self._kp) > 2:
             self._kp.pop(0)
         return slot
 
 
-def _a_pieces(ctx: _GpContext, hyper: KernelHyper, zeta: float | None):
-    """A = K^{-1} (+ zeta (I - Phi0)), its Cholesky factor and log-determinant.
+def _chol_spd(M: np.ndarray, what: str):
+    """Lower Cholesky factor of Linear's k x k M or G, by ``dpotrf`` without
+    jitter: cond(M) = cond(W)^2 is at most that of the factored kernel, and
+    G = M + U'Sigma^{-1}U adds a positive definite term."""
+    c, info = dpotrf(M, lower=1, clean=0)
+    if info:
+        raise SingularKernelError(f"{what}: Cholesky failed")
+    return c, True
 
-    For the plain GP (zeta None) A is K^{-1}: nothing is factored, the
-    factor comes back as None and log det A = -log det K. Otherwise A and
-    its factor are cached in the hyperparameter's slot for this zeta.
-    Only A's lower triangle is meaningful.
+
+def _logdet(c) -> float:
+    """log det of a matrix from its (lower factor, True) Cholesky pair."""
+    return 2.0 * float(np.sum(np.log(np.diag(c[0]))))
+
+
+def _a_pieces(ctx: _GpContext, hyper: KernelHyper, zeta: float | None):
+    """Prior precision A of the mean block, its Cholesky factor and log det A.
+
+    GP (zeta None): A = K^{-1}; nothing is factored, the factor comes back
+    as None and log det A = -log det K. GPSub: A = K^{-1} + zeta (I - Phi0),
+    cached with its factor in the hyperparameter's slot for this zeta; only
+    A's lower triangle is meaningful. Linear: A = M = U'K^{-1}U, the k x k
+    precision of beta in f = U beta.
     """
     slot = ctx.kernel_pieces(hyper)
+    if ctx.U is not None:
+        return slot.prec
     if zeta is None:
         return slot.kinv, None, -slot.logdet_k
     if slot.zeta != zeta:
         A = slot.kinv + zeta * ctx.Q
         cA = chol_psd(A, what="prior precision")
-        slot.zeta, slot.prec = zeta, (A, cA, 2.0 * float(np.sum(np.log(np.diag(cA[0])))))
+        slot.zeta, slot.prec = zeta, (A, cA, _logdet(cA))
     return slot.prec
 
 
-def _p_pieces(A: np.ndarray, sigma: np.ndarray):
+def _p_pieces(A: np.ndarray, sigma: np.ndarray, U: np.ndarray | None = None):
     """P = A + Sigma^{-1} with its Cholesky factor and log-determinant.
 
-    Reads A's lower triangle only.
+    Reads A's lower triangle only. With a basis U (Linear) the precisions
+    are those of beta in f = U beta, and P = A + U'Sigma^{-1}U.
     """
-    P = A.copy()
-    P[np.diag_indices_from(P)] += 1.0 / sigma
-    cP = chol_psd(P, what="posterior precision")
-    logdetP = 2.0 * float(np.sum(np.log(np.diag(cP[0]))))
-    return cP, logdetP
+    if U is None:
+        P = A.copy()
+        P[np.diag_indices_from(P)] += 1.0 / sigma
+        cP = chol_psd(P, what="posterior precision")
+    else:
+        cP = _chol_spd(A + U.T @ (U / sigma[:, None]), "posterior precision")
+    return cP, _logdet(cP)
 
 
 def _collapsed_loglik(r: np.ndarray, sigma: np.ndarray, logdetA: float,
-                      cP, logdetP: float) -> float:
-    """log N(r; 0, K1 + Sigma) with the latent function integrated out."""
+                      cP, logdetP: float, U: np.ndarray | None = None) -> float:
+    """log N(r; 0, K1 + Sigma) with the latent function integrated out.
+
+    With a basis U (Linear, K1 = U M^{-1} U'), Sigma^{-1} r enters the
+    solve as U'Sigma^{-1}r: Woodbury's identity in k x k matrices.
+    """
     T = r.size
     b = r / sigma
-    quad = float(r @ b) - float(b @ cho_solve(cP, b, check_finite=False))
+    c = b if U is None else U.T @ b
+    quad = float(r @ b) - float(c @ dpotrs(cP[0], c, lower=1)[0])
     return -0.5 * (T * math.log(2.0 * math.pi) + float(np.sum(np.log(sigma)))
                    + logdetP - logdetA + quad)
 
 
-def _draw_f(r: np.ndarray, sigma: np.ndarray, cP, rng: np.random.Generator) -> np.ndarray:
+def _draw_f(r: np.ndarray, sigma: np.ndarray, cP, rng: np.random.Generator,
+            U: np.ndarray | None = None) -> np.ndarray:
     """f ~ N(P^{-1} Sigma^{-1} r, P^{-1}) from the lower Cholesky factor L of P:
-    the noise is L^{-T} z."""
-    fbar = cho_solve(cP, r / sigma, check_finite=False)
-    z = rng.standard_normal(r.size)
-    return fbar + solve_triangular(cP[0], z, lower=True, trans="T", check_finite=False)
+    the noise is L^{-T} z. With a basis U (Linear) the draw is f = U beta,
+    beta ~ N(P^{-1} U'Sigma^{-1} r, P^{-1}), and z has one entry per column."""
+    b = r / sigma
+    if U is not None:
+        b = U.T @ b
+    x = dpotrs(cP[0], b, lower=1)[0]
+    z = rng.standard_normal(b.size)
+    x = x + dtrtrs(cP[0], z, lower=1, trans=1)[0]
+    return x if U is None else U @ x
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +383,10 @@ def init_state(spec: ModelSpec, data: WindowData, cfg: McmcConfig) -> ChainState
         error = init_error_state(spec.error_kind, y.size, s2)
         state = ChainState(error=error, trend=y.copy(), trend_var=0.1)
     else:
-        force_pc = spec.dataset is not None and spec.dataset.variant == "Large"
-        B, _, _ = _window_basis(data.X, None, force_pc, cfg.pc_rank)
+        B, _, _ = _window_basis(spec, data.X, None, cfg.pc_rank)
         s2 = _ols_residual_var(y, B)
         error = init_error_state(spec.error_kind, y.size, s2)
-        tau2 = spec.pinned_tau2 if spec.mean_kind == "Linear" else (
-            1.0 if spec.mean_kind == "GPSub" else None)
+        tau2 = 1.0 if spec.mean_kind == "GPSub" else None
         state = ChainState(error=error, f=np.zeros(y.size),
                            hyper=KernelHyper(0.5, 0.5), tau2=tau2)
     state.hyper_step = AdaptiveStep(step=cfg.hyper_step, window=cfg.adapt_window)
@@ -356,30 +405,33 @@ def uc_trend_update(y: np.ndarray, trend: np.ndarray, error_state: ErrorState,
     """Random-walk trend FFBS plus the conjugate innovation-variance draw.
 
     Observation y_t = trend_t + e_t with per-t means/variances taken from
-    the error state; trend_1 ~ N(y_1, init_var).
+    the error state; trend_1 ~ N(y_1, init_var). The recursions run on
+    Python floats, which round each operation exactly as numpy's float64
+    scalars do.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
-    sigma = error_variance_diag(error_state, T)
-    obs = y - error_mean_offsets(error_state, T)
+    sigma = error_variance_diag(error_state, T).tolist()
+    obs = (y - error_mean_offsets(error_state, T)).tolist()
     q = max(float(trend_var), 1e-15)
-    m = np.empty(T)
-    C = np.empty(T)
-    a, R = y[0], init_var
+    m = [0.0] * T
+    C = [0.0] * T
+    a, R = float(y[0]), float(init_var)
     for t in range(T):
         if t > 0:
             a, R = m[t - 1], C[t - 1] + q
         gain = R / (R + sigma[t])
         m[t] = a + gain * (obs[t] - a)
         C[t] = (1.0 - gain) * R
-    new = np.empty(T)
-    z = rng.standard_normal(T)
+    new = [0.0] * T
+    z = rng.standard_normal(T).tolist()
     new[-1] = m[-1] + math.sqrt(max(C[-1], 0.0)) * z[-1]
     for t in range(T - 2, -1, -1):
         prec = 1.0 / C[t] + 1.0 / q
         var = 1.0 / prec
         mean = var * (m[t] / C[t] + new[t + 1] / q)
         new[t] = mean + math.sqrt(var) * z[t]
+    new = np.array(new)
     a0, b0 = prior
     shape = a0 + 0.5 * (T - 1)
     rate = b0 + 0.5 * float(np.sum(np.diff(new) ** 2))
@@ -418,22 +470,23 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
         _check_finite(state.trend, "trend", state.iteration)
     else:
         r = y - offsets
-        zeta = None if spec.mean_kind == "GP" else 1.0 / state.tau2
+        zeta = 1.0 / state.tau2 if spec.mean_kind == "GPSub" else None
+        U = ctx.U
         A, _, logdetA = _a_pieces(ctx, state.hyper, zeta)
-        cP, logdetP = _p_pieces(A, sigma)
+        cP, logdetP = _p_pieces(A, sigma, U)
         if not ctx.fix_kernel_hyper:
-            ll_cur = _collapsed_loglik(r, sigma, logdetA, cP, logdetP)
+            ll_cur = _collapsed_loglik(r, sigma, logdetA, cP, logdetP, U)
             pending: dict = {}
 
             def _ll(xi: float, phi: float) -> float:
                 hyp = KernelHyper(xi, phi)
                 try:
                     A_p, _, ldA_p = _a_pieces(ctx, hyp, zeta)
-                    cP_p, ldP_p = _p_pieces(A_p, sigma)
+                    cP_p, ldP_p = _p_pieces(A_p, sigma, U)
                 except SingularKernelError:
                     return -np.inf
                 pending[(xi, phi)] = cP_p
-                return _collapsed_loglik(r, sigma, ldA_p, cP_p, ldP_p)
+                return _collapsed_loglik(r, sigma, ldA_p, cP_p, ldP_p, U)
 
             new_hyper, accepted, _ = sample_kernel_hyper(
                 state.hyper, _ll, rng, step=state.hyper_step.step, loglik_current=ll_cur)
@@ -441,7 +494,7 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
             if accepted:
                 state.hyper = new_hyper
                 cP = pending[(new_hyper.xi, new_hyper.phi)]
-        state.f = _draw_f(r, sigma, cP, rng)
+        state.f = _draw_f(r, sigma, cP, rng, U)
         _check_finite(state.f, "mean", state.iteration)
         if spec.mean_kind == "GPSub":
             state.tau2 = sample_tau2(state.f, ctx.Phi0, state.tau2, rng,
@@ -578,7 +631,8 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
 
 
 class _GpPredictor:
-    """Conditional (mean, var) of f at the origin row via the precision row.
+    """GP and GPSub: conditional (mean, var) of f at the origin row via the
+    precision row.
 
     The joint precision over (f, f_new) is P_aug = K_aug^{-1}
     (+ zeta (I - Phi_aug)); conditioning the last coordinate needs only its
@@ -595,9 +649,8 @@ class _GpPredictor:
         self.e_last = np.zeros(self.T + 1)
         self.e_last[-1] = 1.0
         self.phi_col = None
-        if spec.mean_kind in ("Linear", "GPSub"):
-            force_pc = spec.dataset is not None and spec.dataset.variant == "Large"
-            B, b_new, _ = _window_basis(X, x_new, force_pc, pc_rank)
+        if spec.mean_kind == "GPSub":
+            B, b_new, _ = _window_basis(spec, X, x_new, pc_rank)
             Ba = np.vstack([B, b_new])
             Qa = qr(Ba, mode="economic")[0]
             self.phi_col = Qa @ Qa[-1, :]
@@ -610,7 +663,7 @@ class _GpPredictor:
         if key != self._key:
             Ka = kernel_from_sqdist(self.D2a, KernelHyper(xi, phi))
             cKa = chol_psd(Ka, what="augmented kernel")
-            self._kinv_col = cho_solve(cKa, self.e_last, check_finite=False)
+            self._kinv_col = dpotrs(cKa[0], self.e_last, lower=1)[0]
             self._key = key
         col = self._kinv_col
         if zeta is not None:
@@ -648,31 +701,37 @@ def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
 
     Each retained draw contributes y* ~ N(mean + offset, var_f + var_e)
     with (mean, var_f) from the conditional-mean block and
-    (offset, var_e) from the error block's h-step predictive.
+    (offset, var_e) from the error block's h-step predictive. Linear's f
+    lies in the span of the window basis B, so its value at the origin row
+    b_new is the basis projection g'f with g = B (B'B)^{-1} b_new, the
+    minimum-norm solution of B'g = b_new, exactly, and var_f = 0.
     """
     n = draws.n_retained
     h = draws.window.horizon
     s = draws.scalars
     out = np.empty(n)
     components: list = []
-    predictor = None
+    predictor = g = None
     if spec.mean_kind != "UC":
         data = draws.window
         if x_origin is not None and data.x_new is None:
             data = WindowData(data.y, data.X, np.asarray(x_origin, float),
                               data.origin_date, data.horizon, data.y_offset)
-        predictor = _GpPredictor(spec, data)
+        if spec.mean_kind == "Linear":
+            B, b_new, _ = _window_basis(spec, data.X, data.x_new, PC_BASIS_RANK)
+            g = np.linalg.lstsq(B.T, b_new.ravel(), rcond=None)[0]
+        else:
+            predictor = _GpPredictor(spec, data)
     level = draws.window.y_offset
     for i in range(n):
         if spec.mean_kind == "UC":
             mean = float(s["trend_last"][i])
             var_f = h * float(s["trend_var"][i])
+        elif g is not None:
+            mean = float(g @ draws.f[i]) + level
+            var_f = 0.0
         else:
-            zeta = None
-            if spec.mean_kind == "Linear":
-                zeta = 1.0 / LINEAR_TAU2
-            elif spec.mean_kind == "GPSub":
-                zeta = 1.0 / float(s["tau2"][i])
+            zeta = None if spec.mean_kind == "GP" else 1.0 / float(s["tau2"][i])
             mean, var_f = predictor(draws.f[i], float(s["xi"][i]),
                                     float(s["phi"][i]), zeta)
             mean += level

@@ -177,6 +177,27 @@ def test_manifest_contents(experiment):
         assert json.load(fh)["seed"] == c["seed"]
 
 
+def test_manifest_keeps_runtime_of_cells_run(experiment, tmp_path, capsys):
+    """Each cell run by an invocation keeps its chain runtime in the manifest,
+    never in cells/*.json; a cached cell has none."""
+    with open(os.path.join(experiment["out_dir"], "manifest.json")) as fh:
+        cells = json.load(fh)["cells"]
+    assert all(isinstance(c["runtime"], float) and c["runtime"] > 0 for c in cells)
+    for c in cells:
+        with open(os.path.join(experiment["out_dir"], "cells", c["cell"] + ".json")) as fh:
+            assert "runtime" not in json.load(fh)
+    out2 = tmp_path / "copy"
+    shutil.copytree(experiment["out_dir"], out2)
+    victim = "UC-SV_none_1_2021Q1"
+    os.remove(out2 / "cells" / f"{victim}.json")
+    assert main(["run", "--config", experiment["cfg_path"], "--out", str(out2)]) == EXIT_OK
+    assert "7 cached, 1 to run" in capsys.readouterr().out
+    with open(out2 / "manifest.json") as fh:
+        runtimes = {c["cell"]: c.get("runtime") for c in json.load(fh)["cells"]}
+    assert runtimes.pop(victim) > 0
+    assert set(runtimes.values()) == {None}
+
+
 def test_rerun_skips_completed_cells(experiment, tmp_path, capsys):
     src = experiment["out_dir"]
     out2 = tmp_path / "copy"

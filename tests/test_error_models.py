@@ -536,6 +536,54 @@ def test_ffbs_sequential_density_matches_dense_posterior():
     assert_allclose(bv[-1], cov[-1, -1], atol=1e-10)
 
 
+def _sv_ffbs_numpy(ystar, s, mu, rho, q, rng):
+    """The FFBS recursions on numpy float64 scalars, as first written: the
+    oracle for the Python-float loops in ``_sv_ffbs``."""
+    T = ystar.size
+    obs = ystar - _SV_M[s]
+    v = _SV_V[s]
+    m = np.empty(T)
+    C = np.empty(T)
+    a = mu
+    R = q / (1.0 - rho * rho)
+    for t in range(T):
+        if t > 0:
+            a = mu + rho * (m[t - 1] - mu)
+            R = rho * rho * C[t - 1] + q
+        gain = R / (R + v[t])
+        m[t] = a + gain * (obs[t] - a)
+        C[t] = (1.0 - gain) * R
+    h = np.empty(T)
+    z = rng.standard_normal(T)
+    h[-1] = m[-1] + math.sqrt(max(C[-1], 0.0)) * z[-1]
+    back_mean = np.empty(T)
+    back_var = np.empty(T)
+    back_mean[-1], back_var[-1] = m[-1], C[-1]
+    for t in range(T - 2, -1, -1):
+        prec = 1.0 / C[t] + rho * rho / q
+        var = 1.0 / prec
+        mean = var * (m[t] / C[t] + rho * (h[t + 1] - mu * (1.0 - rho)) / q)
+        h[t] = mean + math.sqrt(var) * z[t]
+        back_mean[t], back_var[t] = mean, var
+    return h, back_mean, back_var
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 97])
+@pytest.mark.parametrize("q", [1e-14, 0.05])
+def test_sv_ffbs_equals_numpy_scalar_oracle(T, q):
+    rng = np.random.default_rng(T)
+    ystar = np.log(rng.standard_normal(T) ** 2 + LOG_RESID_FLOOR)
+    s = rng.integers(0, _SV_M.size, T)
+    mu, rho = np.float64(-0.7), 0.93
+    want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = _sv_ffbs_numpy(ystar, s, mu, rho, q, want_rng)
+    got = _sv_ffbs(ystar, s, mu, rho, q, got_rng, return_moments=True)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.array_equal(_sv_ffbs(ystar, s, mu, rho, q, np.random.default_rng(5)), want[0])
+
+
 def test_ffbs_draw_moments():
     rng = np.random.default_rng(8)
     T = 4

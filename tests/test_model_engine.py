@@ -1,10 +1,12 @@
 """Chain assembly: grid enumeration, sweeps, retention, prediction, recursion."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import bnpforecast.data_pipeline as dp
 import bnpforecast.model_engine as me
 from bnpforecast.data_pipeline import (
     DatasetSpec,
@@ -12,10 +14,15 @@ from bnpforecast.data_pipeline import (
     assemble_regression,
     format_quarter,
 )
-from bnpforecast.error_models import ErrorState, SvState
-from bnpforecast.gp_core import KernelHyper, gaussian_kernel_matrix
+from bnpforecast.error_models import (
+    ErrorState,
+    SvState,
+    error_mean_offsets,
+    error_variance_diag,
+    init_error_state,
+)
+from bnpforecast.gp_core import AdaptiveStep, KernelHyper, gaussian_kernel_matrix
 from bnpforecast.model_engine import (
-    LINEAR_TAU2,
     MEAN_KINDS,
     MIN_TRAIN_QUARTERS,
     P_GRID,
@@ -102,10 +109,23 @@ def test_model_spec_validation():
         ModelSpec("GP", "DPM", DS_H1, horizon=4)
 
 
-def test_linear_is_pinned_subspace_limit():
+def test_linear_is_exact_subspace_limit():
+    """Linear carries no shrinkage scale, and its draw lies in the span of
+    the window basis to rounding: f = U beta, not a pinned tiny tau^2."""
     spec = ModelSpec("Linear", "Homosk", DS_H1)
-    assert spec.pinned_tau2 == LINEAR_TAU2
-    assert LINEAR_TAU2 <= 1e-6
+    assert not hasattr(dp, "LINEAR_TAU2") and not hasattr(me, "LINEAR_TAU2")
+    assert not hasattr(spec, "pinned_tau2")
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((30, 3))
+    y = np.sin(X[:, 0]) + 0.3 * rng.standard_normal(30)
+    data = WindowData(y=y, X=X, x_new=np.zeros(3), horizon=1)
+    state = init_state(spec, data, McmcConfig(n_iter=30, n_burn=5, seed=3))
+    assert state.tau2 is None
+    step_rng = np.random.default_rng(4)
+    for _ in range(5):
+        mcmc_step(spec, data, state, step_rng)
+        resid = state.f - X @ np.linalg.lstsq(X, state.f, rcond=None)[0]
+        assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(state.f))
 
 
 def test_mcmc_config_retention_arithmetic():
@@ -196,6 +216,54 @@ def test_uc_trend_no_information_limit():
     assert np.all(np.abs(incr.mean(axis=0)) < 3 * np.sqrt(q / n))
 
 
+def _uc_trend_numpy(y, error_state, rng, trend_var):
+    """``uc_trend_update`` on numpy float64 scalars, as first written: the
+    oracle for its Python-float loops."""
+    T = y.size
+    sigma = error_variance_diag(error_state, T)
+    obs = y - error_mean_offsets(error_state, T)
+    q = max(float(trend_var), 1e-15)
+    m = np.empty(T)
+    C = np.empty(T)
+    a, R = y[0], UC_PRIOR_INIT_VAR
+    for t in range(T):
+        if t > 0:
+            a, R = m[t - 1], C[t - 1] + q
+        gain = R / (R + sigma[t])
+        m[t] = a + gain * (obs[t] - a)
+        C[t] = (1.0 - gain) * R
+    new = np.empty(T)
+    z = rng.standard_normal(T)
+    new[-1] = m[-1] + math.sqrt(max(C[-1], 0.0)) * z[-1]
+    for t in range(T - 2, -1, -1):
+        prec = 1.0 / C[t] + 1.0 / q
+        var = 1.0 / prec
+        mean = var * (m[t] / C[t] + new[t + 1] / q)
+        new[t] = mean + math.sqrt(var) * z[t]
+    a0, b0 = UC_TREND_VAR_PRIOR
+    rate = b0 + 0.5 * float(np.sum(np.diff(new) ** 2))
+    return new, float(rate / rng.gamma(a0 + 0.5 * (T - 1), 1.0))
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 97])
+@pytest.mark.parametrize("q", [1e-14, 0.05])
+@pytest.mark.parametrize("kind", ["SV", "DPM"])
+def test_uc_trend_equals_numpy_scalar_oracle(kind, T, q):
+    rng = np.random.default_rng(T)
+    y = np.cumsum(rng.standard_normal(T))
+    state = init_error_state(kind, T, 0.4)
+    if kind == "SV":
+        state.sv.h = rng.normal(-1.0, 0.5, T)
+    else:
+        state.dpm.alloc = rng.integers(0, state.dpm.comp_mean.size, T)
+        state.dpm.comp_mean = rng.normal(0.0, 0.3, state.dpm.comp_mean.size)
+    want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = _uc_trend_numpy(y, state, want_rng, q)
+    got = uc_trend_update(y, y.copy(), state, got_rng, q)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # one sweep
 
@@ -283,32 +351,8 @@ def test_mcmc_step_preserves_invariants_across_grid():
             assert 0 < state.hyper.phi < 1
         if mean_kind == "GPSub":
             assert state.tau2 > 0
-        if mean_kind == "Linear":
-            assert state.tau2 == LINEAR_TAU2
-
-
-def test_linear_chain_equals_subspace_chain_at_full_weight(monkeypatch):
-    """Pinning the subspace scale at its limiting value makes the two code
-    paths produce the same stream, sweep by sweep."""
-    monkeypatch.setattr(me, "sample_tau2", lambda *a, **k: LINEAR_TAU2)
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((50, 2))
-    y = X @ np.array([0.5, -0.2]) + 0.4 * rng.standard_normal(50)
-    data = WindowData(y=y, X=X, x_new=np.zeros(2), horizon=1)
-    cfg = McmcConfig(n_iter=50, n_burn=10, seed=3)
-    spec_lin = ModelSpec("Linear", "Homosk", DS_H1)
-    spec_sub = ModelSpec("GPSub", "Homosk", DS_H1)
-    st_lin = init_state(spec_lin, data, cfg)
-    st_sub = init_state(spec_sub, data, cfg)
-    st_sub.tau2 = LINEAR_TAU2
-    rng_lin = np.random.default_rng(3)
-    rng_sub = np.random.default_rng(3)
-    for _ in range(40):
-        st_lin = mcmc_step(spec_lin, data, st_lin, rng_lin)
-        st_sub = mcmc_step(spec_sub, data, st_sub, rng_sub)
-    assert np.max(np.abs(st_lin.f - st_sub.f)) < 1e-6
-    assert st_lin.hyper == st_sub.hyper
-    assert st_lin.error.sigma2 == pytest.approx(st_sub.error.sigma2, rel=1e-12)
+        if mean_kind != "GPSub":
+            assert state.tau2 is None
 
 
 class _UnitRng:
@@ -328,7 +372,7 @@ def _rel(a, b):
 
 
 @pytest.mark.parametrize("mean_kind, tau2, tol", [
-    ("GP", None, 1e-10), ("GPSub", 0.7, 1e-10), ("Linear", LINEAR_TAU2, 1e-6)])
+    ("GP", None, 1e-10), ("GPSub", 0.7, 1e-10)])
 def test_mean_block_matches_dense_oracle(mean_kind, tau2, tol):
     """Collapsed likelihood, conditional mean and noise map of the
     precision-form mean block against plain-inverse oracles with
@@ -367,15 +411,123 @@ def test_mean_block_matches_dense_oracle(mean_kind, tau2, tol):
     assert _rel(W @ W.T, Pinv) < tol
 
 
+def _mean_block_fixture(T=25):
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((T, 3))
+    r = np.tanh(X @ np.array([1.0, -0.6, 0.4])) + 0.5 * rng.standard_normal(T)
+    sigma = rng.uniform(0.1, 0.6, T)
+    data = WindowData(y=r, X=X, x_new=np.zeros(3), horizon=1)
+    return X, r, sigma, data, KernelHyper(xi=0.9, phi=0.6)
+
+
+def _conditional(mean_kind, data, r, sigma, hyper, zeta=None):
+    """(log-likelihood, mean, covariance) of f from the engine's mean block."""
+    ctx = me._GpContext(ModelSpec(mean_kind, "Homosk", DS_H1), data)
+    A, _, logdetA = me._a_pieces(ctx, hyper, zeta)
+    cP, logdetP = me._p_pieces(A, sigma, ctx.U)
+    ll = me._collapsed_loglik(r, sigma, logdetA, cP, logdetP, ctx.U)
+    fbar = me._draw_f(r, sigma, cP, _ZeroRng(), ctx.U)
+    W = np.column_stack([me._draw_f(r, sigma, cP, _UnitRng(i), ctx.U) - fbar
+                         for i in range(cP[0].shape[0])])
+    return ll, fbar, W @ W.T
+
+
+def test_linear_mean_block_matches_dense_limit_oracle():
+    """Linear's k x k mean block against the dense tau^2 -> 0 limit:
+    K1 = U (U'K^-1 U)^-1 U', log N(r; 0, K1 + Sigma), conditional mean
+    K1 (K1 + Sigma)^-1 r and covariance K1 - K1 (K1 + Sigma)^-1 K1."""
+    X, r, sigma, data, hyper = _mean_block_fixture()
+    ll, fbar, cov = _conditional("Linear", data, r, sigma, hyper)
+
+    U = np.linalg.qr(X)[0]
+    Kinv = np.linalg.inv(gaussian_kernel_matrix(X, hyper))
+    K1 = U @ np.linalg.inv(U.T @ Kinv @ U) @ U.T
+    C = K1 + np.diag(sigma)
+    _, logdetC = np.linalg.slogdet(C)
+    T = r.size
+    ll_o = -0.5 * (T * np.log(2 * np.pi) + logdetC + r @ np.linalg.solve(C, r))
+    assert abs(ll - ll_o) / abs(ll_o) < 1e-10
+    gain = K1 @ np.linalg.inv(C)
+    assert _rel(fbar, gain @ r) < 1e-10
+    assert _rel(cov, K1 - gain @ K1) < 1e-10
+
+
+def test_linear_conditional_equals_subspace_conditional_at_full_weight():
+    """GPSub at tau^2 = 1e-8 is within 1e-6 of its limit, Linear: the same
+    collapsed likelihood and the same conditional mean and covariance of f."""
+    _, r, sigma, data, hyper = _mean_block_fixture()
+    ll_lin, mean_lin, cov_lin = _conditional("Linear", data, r, sigma, hyper)
+    ll_sub, mean_sub, cov_sub = _conditional("GPSub", data, r, sigma, hyper, zeta=1e8)
+    assert abs(ll_lin - ll_sub) / abs(ll_sub) < 1e-6
+    assert _rel(mean_lin, mean_sub) < 1e-6
+    assert _rel(cov_lin, cov_sub) < 1e-6
+
+
+def _batch_se(x, n_batches=50):
+    means = x[: x.size // n_batches * n_batches].reshape(n_batches, -1).mean(axis=1)
+    return means.std(ddof=1) / np.sqrt(n_batches)
+
+
+def test_linear_mean_block_gets_it_right(monkeypatch):
+    """Geweke (2004) joint check at T = 5: alternating the Linear mean block
+    (hyperparameter MH with f integrated out, then f) with r | f ~ N(f, s2 I)
+    leaves the joint prior of (xi, phi, f) invariant. Test functions of the
+    chain are compared with direct prior draws, xi, phi ~ U(0, 1) and
+    f = U beta, beta ~ N(0, (U'K^-1 U)^-1), by z-scores with batch-means
+    standard errors."""
+    T, s2, n_chain, n_iid = 5, 0.25, 20_000, 200_000
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((T, 2))
+    U = np.linalg.qr(X)[0]
+    xi, phi = rng.uniform(size=n_iid), rng.uniform(size=n_iid)
+    D2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
+    K = xi[:, None, None] * np.exp(-0.5 * phi[:, None, None] * D2)
+    L = np.linalg.cholesky(U.T @ np.linalg.inv(K) @ U)
+    beta = np.linalg.solve(np.swapaxes(L, 1, 2),
+                           rng.standard_normal((n_iid, 2, 1)))[:, :, 0]
+    f_iid = beta @ U.T
+
+    monkeypatch.setattr(me, "error_sweep", lambda st, resid, r, **k: (st, None))
+    spec = ModelSpec("Linear", "Homosk", DS_H1)
+    data = WindowData(y=f_iid[0] + np.sqrt(s2) * rng.standard_normal(T), X=X,
+                      x_new=np.zeros(2), horizon=1)
+    state = init_state(spec, data, McmcConfig(n_iter=10, n_burn=1))
+    state.error.sigma2 = s2
+    state.hyper = KernelHyper(float(xi[0]), float(phi[0]))
+    state.f = f_iid[0].copy()
+    state.hyper_step = AdaptiveStep(step=1.5, frozen=True)
+    ctx = me._GpContext(spec, data)
+    chain = np.empty((n_chain, 2 + T))
+    for i in range(n_chain):
+        mcmc_step(spec, data, state, rng, ctx)
+        data.y = state.f + np.sqrt(s2) * rng.standard_normal(T)
+        chain[i, :2] = state.hyper.xi, state.hyper.phi
+        chain[i, 2:] = state.f
+
+    def tests(xi, phi, f):
+        fsq = np.mean(f ** 2, axis=1)
+        return {"xi": xi, "phi": phi, "f0": f[:, 0], "f0^2": f[:, 0] ** 2,
+                "mean f^2": fsq, "xi mean f^2": xi * fsq}
+
+    got = tests(chain[:, 0], chain[:, 1], chain[:, 2:])
+    want = tests(xi, phi, f_iid)
+    for name in got:
+        a, b = got[name], want[name]
+        z = (a.mean() - b.mean()) / np.sqrt(_batch_se(a) ** 2 + b.var() / b.size)
+        assert abs(z) < 4.0, (name, z)
+
+
 @pytest.mark.parametrize("mean_kind, budget", [("GP", 3), ("Linear", 4), ("GPSub", 5)])
 def test_sweep_factorization_budget(monkeypatch, mean_kind, budget):
     """A sweep with a new hyperparameter proposal factors only what its math
     needs: P at the current and proposed hyper, K at the proposed one, A at
     the proposed one unless A = K^-1 (GP), and A at the current one only when
-    tau^2 moved (GPSub). No dense multi-column solve."""
+    tau^2 moved (GPSub). Linear's A and P are k x k, so K is its only T x T
+    factorization, and it forms no K^-1. No dense multi-column solve."""
     rng = np.random.default_rng(2)
-    X = rng.standard_normal((40, 2))
-    y = np.sin(X[:, 0]) + 0.4 * rng.standard_normal(40)
+    T = 40
+    X = rng.standard_normal((T, 2))
+    y = np.sin(X[:, 0]) + 0.4 * rng.standard_normal(T)
     data = WindowData(y=y, X=X, x_new=np.zeros(2), horizon=1)
     spec = ModelSpec(mean_kind, "Homosk", DS_H1)
     cfg = McmcConfig(n_iter=30, n_burn=5, seed=3)
@@ -384,16 +536,29 @@ def test_sweep_factorization_budget(monkeypatch, mean_kind, budget):
     step_rng = np.random.default_rng(3)
     mcmc_step(spec, data, state, step_rng, ctx)  # caches the current hyper
 
-    chol, solves = [], []
-    orig_chol, orig_solve = me.chol_psd, me.cho_solve
-    monkeypatch.setattr(me, "chol_psd",
-                        lambda *a, **k: (chol.append(k.get("what")), orig_chol(*a, **k))[1])
-    monkeypatch.setattr(me, "cho_solve",
+    chol, sizes, solves, potri = [], [], [], []
+    orig_chol, orig_potrf = me.chol_psd, me.dpotrf
+    orig_solve, orig_potri = me.dpotrs, me.dpotri
+
+    def _chol(M, *a, **k):
+        chol.append(k.get("what"))
+        sizes.append(np.shape(M)[0])
+        return orig_chol(M, *a, **k)
+
+    monkeypatch.setattr(me, "chol_psd", _chol)
+    monkeypatch.setattr(me, "dpotrf",
+                        lambda M, **k: (sizes.append(np.shape(M)[0]), orig_potrf(M, **k))[1])
+    monkeypatch.setattr(me, "dpotrs",
                         lambda c, b, **k: (solves.append(np.ndim(b)), orig_solve(c, b, **k))[1])
+    monkeypatch.setattr(me, "dpotri", lambda *a, **k: (potri.append(1), orig_potri(*a, **k))[1])
     mcmc_step(spec, data, state, step_rng, ctx)
     assert chol.count("kernel matrix") == 1  # the proposal's kernel, once
-    assert len(chol) <= budget, chol
+    assert len(sizes) <= budget, sizes
     assert solves and all(nd == 1 for nd in solves)
+    if mean_kind == "Linear":
+        assert sizes.count(T) == 1 and not potri, (sizes, potri)
+    else:
+        assert sizes.count(T) == len(sizes) and len(potri) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +746,9 @@ def test_predictive_bimodal_mixture():
 
 
 def test_predictive_linear_equals_subspace_at_full_weight():
+    """GPSub's predictive converges to Linear's as tau^2 -> 0, at rate
+    O(tau^2) once zeta dominates K^-1, and Linear's forecast is the limit
+    itself: the plane value at the origin plus the window level."""
     n = 2000
     rng = np.random.default_rng(8)
     X = rng.standard_normal((60, 2))
@@ -590,17 +758,22 @@ def test_predictive_linear_equals_subspace_at_full_weight():
                         y_offset=0.3)
     base = {"xi": np.full(n, 0.55), "phi": np.full(n, 0.45),
             "f_mean": np.full(n, f_fix.mean()), "sigma2": np.full(n, 0.7)}
-    sub = dict(base, tau2=np.full(n, LINEAR_TAU2),
-               omega=np.full(n, 1.0 / (1.0 + LINEAR_TAU2)))
     spec_lin = ModelSpec("Linear", "Homosk", DS_H1)
     spec_sub = ModelSpec("GPSub", "Homosk", DS_H1)
     out_lin = predictive_simulate(
         spec_lin, _hand_draws(spec_lin, window, base, np.tile(f_fix, (n, 1)), n),
         x_new, np.random.default_rng(12))
-    out_sub = predictive_simulate(
-        spec_sub, _hand_draws(spec_sub, window, sub, np.tile(f_fix, (n, 1)), n),
-        x_new, np.random.default_rng(12))
-    assert np.max(np.abs(out_lin.draws - out_sub.draws)) < 1e-6
+    assert all(c[0] == pytest.approx(0.3 + x_new @ [0.8, -0.4], abs=1e-12)
+               for c in out_lin.components)
+    gaps = []
+    for tau2 in (1e-8, 1e-10, 1e-12):
+        sub = dict(base, tau2=np.full(n, tau2), omega=np.full(n, 1.0 / (1.0 + tau2)))
+        out_sub = predictive_simulate(
+            spec_sub, _hand_draws(spec_sub, window, sub, np.tile(f_fix, (n, 1)), n),
+            x_new, np.random.default_rng(12))
+        gaps.append(np.max(np.abs(out_lin.draws - out_sub.draws)))
+    assert gaps[0] > gaps[1] > 50 * gaps[2]  # O(tau^2) once zeta dominates K^-1
+    assert gaps[2] < 1e-6
     assert out_lin.point == pytest.approx(out_sub.point, abs=1e-6)
 
 

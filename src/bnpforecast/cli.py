@@ -5,18 +5,24 @@ model x origin grid with per-cell checkpointing), ``report`` (relative
 tables, cumulative paths, subsample averages, calibration grids), and
 ``summarize-lasso`` (penalized linear summaries of the quantile paths).
 
-Every cell of ``run`` executes in a spawned worker process, and
-``workers=1`` is a pool of one: there is no in-process path. Spawned
-workers import numpy after the thread-count defaults below are set, so
-they all use single-threaded numerics; with each cell owning an
-independent random stream derived from the master seed, results are
-byte-identical for any worker count.
+Every cell of ``run`` executes in a worker process, and ``workers=1`` is
+a pool of one: there is no in-process path. Workers are forked from a
+multiprocessing fork server (so ``run`` needs a POSIX host): a fresh
+interpreter, started with the thread-count defaults below in its
+environment, that imports this module and the samplers once. So every
+worker uses single-threaded numerics whatever the caller has imported;
+with each cell owning an independent random stream derived from the
+master seed, results are byte-identical for any worker count. ``run``
+stops the server and waits for it, so its resource usage covers the
+workers and nothing outlives it.
 
-Only those workers import the samplers (``model_engine``, ``gp_core``,
-``error_models``) and scipy, which would cost every other command most of
-its start-up time; ``jsonschema`` is imported only when a config is read.
-So ``forecast_cell`` is a forwarder that imports the engine when called,
-and cells reach it through this module's global, which callers may wrap.
+Only the server and its workers import the samplers (``model_engine``,
+``gp_core``, ``error_models``) and scipy, which would cost every other
+command, and ``run``'s own process, most of its start-up time;
+``jsonschema`` is imported only when a config is read. So
+``forecast_cell`` is a forwarder that imports the engine when called, and
+cells reach it through this module's global, which callers may wrap.
+Warnings raised in a cell are counted in its manifest entry.
 """
 from __future__ import annotations
 
@@ -31,9 +37,11 @@ import csv
 import importlib.resources
 import json
 import multiprocessing
+import multiprocessing.forkserver
 import sys
 import traceback
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -310,7 +318,24 @@ def forecast_cell(*args, **kwargs):
 
 def exec_cell(task: dict) -> dict:
     """Estimate one cell in a pool worker set up by ``_init_worker``; write its
-    draws and scores and return a status record."""
+    draws and scores and return a status record, with a count of each
+    warning the cell raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = _estimate_cell(task)
+    counts = Counter((w.category.__name__, str(w.message)) for w in caught)
+    rec["warnings"] = [{"category": c, "message": m, "count": n}
+                       for (c, m), n in sorted(counts.items())]
+    # Passed on as before, to stderr or to a caller's own filters; under the
+    # default filter, the shared registry shows each distinct warning once.
+    registry: dict = {}
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               registry=registry)
+    return rec
+
+
+def _estimate_cell(task: dict) -> dict:
     cell = Cell(task["model_id"], task["dataset_label"], task["horizon"], task["origin"])
     try:
         panel = _WORKER["panel"]
@@ -369,8 +394,11 @@ def exec_cell(task: dict) -> dict:
                     for v in pred.draws:
                         w.writerow([repr(float(v))])
             _atomic_write(draws_path, _write_draws)
-        _atomic_write(scores_path, lambda p: open(p, "w").write(
-            json.dumps(record, sort_keys=True, indent=1)))
+
+        def _write_scores(p):
+            with open(p, "w") as fh:
+                fh.write(json.dumps(record, sort_keys=True, indent=1))
+        _atomic_write(scores_path, _write_scores)
         return {"cell": cell.cell_id, "status": "ok",
                 "seed": record["seed"], "runtime": pred.diagnostics["runtime"]}
     except Exception as exc:  # cell failures must not kill the grid
@@ -413,20 +441,27 @@ def cmd_run(cfg: RunConfig) -> int:
     broken = None
     if tasks:
         # One path for any worker count: workers=1 is a pool of one, so every
-        # cell runs under the same single-threaded numerics.
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=ctx,
-                                 initializer=_init_worker,
-                                 initargs=(cfg.panel, cfg.sidecar)) as pool:
-            for fut in as_completed([pool.submit(exec_cell, t) for t in tasks]):
-                try:
-                    rec = fut.result()
-                except BrokenProcessPool as exc:  # a worker died; no queued cell will run
-                    broken = f"{type(exc).__name__}: {exc}"
-                    continue
-                results[rec["cell"]] = rec
-                if rec["status"] == "failed":
-                    print(f"FAILED {rec['cell']}: {rec['error']}", file=sys.stderr)
+        # cell runs under the same single-threaded numerics. Workers fork
+        # from a server that imported the engine once.
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload(["bnpforecast.cli", "bnpforecast.model_engine"])
+        try:
+            with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=ctx,
+                                     initializer=_init_worker,
+                                     initargs=(cfg.panel, cfg.sidecar)) as pool:
+                for fut in as_completed([pool.submit(exec_cell, t) for t in tasks]):
+                    try:
+                        rec = fut.result()
+                    except BrokenProcessPool as exc:  # a worker died; no queued cell will run
+                        broken = f"{type(exc).__name__}: {exc}"
+                        continue
+                    results[rec["cell"]] = rec
+                    if rec["status"] == "failed":
+                        print(f"FAILED {rec['cell']}: {rec['error']}", file=sys.stderr)
+        finally:
+            # The server reaps the workers; waiting for it here puts their
+            # resource usage in this process's and leaves nothing running.
+            multiprocessing.forkserver._forkserver._stop()
         if broken:
             print(f"worker pool broke: {broken}", file=sys.stderr)
             for c in pending:
@@ -452,6 +487,8 @@ def cmd_run(cfg: RunConfig) -> int:
         }
         if rec and "runtime" in rec:  # chain seconds, for cells run by this invocation
             entry["runtime"] = rec["runtime"]
+        if rec and "warnings" in rec:
+            entry["warnings"] = rec["warnings"]
         if rec and rec.get("error"):
             entry["error"] = rec["error"]
             if "traceback" in rec:

@@ -3,11 +3,15 @@
 import csv
 import json
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -25,6 +29,9 @@ from bnpforecast.model_engine import derive_cell_seed
 from bnpforecast.data_pipeline import parse_quarter
 
 ORIGINS = ["2020Q4", "2021Q1", "2021Q2", "2021Q3"]
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc"),
+                                reason="finds child processes through /proc")
 
 
 def _base_config(panel_files, out_dir):
@@ -198,6 +205,27 @@ def test_manifest_keeps_runtime_of_cells_run(experiment, tmp_path, capsys):
     assert set(runtimes.values()) == {None}
 
 
+def test_manifest_counts_cell_warnings(experiment, panel_files, tmp_path):
+    """Warnings raised while a cell runs are counted by category and message
+    in its manifest entry, never in cells/*.json."""
+    with open(os.path.join(experiment["out_dir"], "manifest.json")) as fh:
+        assert all(c["warnings"] == [] for c in json.load(fh)["cells"])
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg.update(mcmc={"n_iter": 80, "n_burn": 20}, eval_start="2021Q3")
+    assert main(["run", "--config", _write_config(tmp_path / "c.json", cfg)]) == EXIT_OK
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        cells = json.load(fh)["cells"]
+    assert len(cells) == 4
+    for c in cells:
+        with open(tmp_path / "out" / "cells" / (c["cell"] + ".json")) as fh:
+            rec = json.load(fh)
+        assert "warnings" not in rec
+        # one inefficiency factor per monitored trace, each on 60 draws
+        assert c["warnings"] == [{
+            "category": "UserWarning", "count": len(rec["ifs"]),
+            "message": "inefficiency factor on a trace shorter than 100 draws"}]
+
+
 def test_rerun_skips_completed_cells(experiment, tmp_path, capsys):
     src = experiment["out_dir"]
     out2 = tmp_path / "copy"
@@ -332,11 +360,101 @@ def test_run_with_dead_worker_writes_manifest(panel_files, tmp_path, monkeypatch
         assert cells[cid]["error"] == "BrokenProcessPool: a worker process terminated"
 
 
+def _proc_stat(pid):
+    """(state, parent pid) of a process, read from /proc; None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _children(pid):
+    """Pids whose parent is ``pid``, zombies included."""
+    kids = []
+    for name in filter(str.isdigit, os.listdir("/proc")):
+        stat = _proc_stat(name)
+        if stat and stat[1] == pid:
+            kids.append(int(name))
+    return kids
+
+
+def _cpu_of_children():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+@needs_proc
+def test_run_waits_for_its_workers(panel_files, tmp_path):
+    """``run`` waits for its workers and their server before it exits: its
+    resource usage covers the chains it ran, and after ``main(["run"])`` the
+    caller has no child left but multiprocessing's resource tracker."""
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg.update(models=["UC-SV"], mcmc={"n_iter": 600, "n_burn": 100}, workers=2)
+    cmd, env = _entry_point()
+    before = _cpu_of_children()
+    res = subprocess.run(cmd + ["run", "--config", _write_config(tmp_path / "c.json", cfg)],
+                         capture_output=True, text=True, env=env)
+    cpu = _cpu_of_children() - before
+    assert res.returncode == EXIT_OK, res.stderr
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        chains = sum(c["runtime"] for c in json.load(fh)["cells"])
+    # The chains alone take some 2 s; run's own process, some 0.5 s.
+    assert cpu >= 0.8 * chains, (cpu, chains)
+
+    cfg.update(mcmc={"n_iter": 130, "n_burn": 30}, out_dir=str(tmp_path / "in_process"))
+    assert main(["run", "--config", _write_config(tmp_path / "c2.json", cfg)]) == EXIT_OK
+    left = set(_children(os.getpid())) - {resource_tracker._resource_tracker._pid}
+    assert left == set()
+
+
+@needs_proc
+def test_run_with_killed_worker_writes_manifest(panel_files, tmp_path):
+    """SIGKILL to a real worker mid-run: ``run`` exits partial, marks the
+    cells without a result unfinished, and leaves no process behind."""
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg.update(models=["UC-SV"], mcmc={"n_iter": 1500, "n_burn": 100})
+    cmd, env = _entry_point()
+    proc = subprocess.Popen(cmd + ["run", "--config",
+                                   _write_config(tmp_path / "c.json", cfg)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+    cell_dir = tmp_path / "out" / "cells"
+    deadline = time.monotonic() + 120
+    while not (cell_dir.is_dir() and any(n.endswith(".json") for n in os.listdir(cell_dir))):
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.02)
+    helpers = _children(proc.pid)  # the fork server and the resource tracker
+    servers = [h for h in helpers if _children(h)]
+    workers = [w for h in servers for w in _children(h)]
+    assert len(servers) == 1 and len(workers) == 1  # a pool of one, on the second cell
+    os.kill(workers[0], signal.SIGKILL)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_PARTIAL, err
+    assert "worker pool broke: BrokenProcessPool" in err
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        status = [c["status"] for c in json.load(fh)["cells"]]
+    assert len(status) == 4 and "unfinished" in status
+    assert set(status) <= {"ok", "unfinished"}
+    # run reaped the server, and the server its workers, before run exited
+    assert [p for p in servers + workers if os.path.exists(f"/proc/{p}")] == []
+
+    def running(pid):
+        stat = _proc_stat(pid)
+        return stat is not None and stat[0] != "Z"
+    # the resource tracker exits once run has closed its end of the pipe
+    deadline = time.monotonic() + 10
+    while any(running(p) for p in helpers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert [p for p in helpers if running(p)] == []
+
+
 def test_failed_cell_logged_grid_continues(panel_files, tmp_path, capsys):
     cfg = _base_config(panel_files, tmp_path / "out")
     cfg["models"] = ["UC-SV"]
     cfg_path = _write_config(tmp_path / "c.json", cfg)
-    # Cells run in spawned workers, so the fault is planted on disk: a
+    # Cells run in worker processes, so the fault is planted on disk: a
     # directory where the 2021Q2 cell writes its temporary draws file makes
     # that cell fail inside its worker.
     blocker = tmp_path / "out" / "draws" / "UC-SV_none_1_2021Q2.csv.tmp"
@@ -611,12 +729,15 @@ def test_console_script_roundtrip(panel_files, tmp_path):
 
 def test_only_run_workers_import_scipy(experiment, tmp_path):
     """Importing the package and its CLI loads neither scipy nor jsonschema,
-    and no command but ``run``'s workers loads scipy: ``validate``, ``report``
-    and ``summarize-lasso`` never estimate a cell. ``report --out`` reads no
+    and no process but ``run``'s fork server and its workers loads scipy:
+    ``validate``, ``report`` and ``summarize-lasso`` never estimate a cell,
+    and neither does the ``run`` process itself. ``report --out`` reads no
     config, so it does not load jsonschema either."""
     out = tmp_path / "out"
     shutil.copytree(os.path.join(experiment["out_dir"], "cells"), out / "cells")
     cfg_path = _write_config(tmp_path / "c.json", dict(experiment["cfg"], out_dir=str(out)))
+    run_cfg = _write_config(tmp_path / "run.json",
+                            dict(experiment["cfg"], out_dir=str(tmp_path / "run_out")))
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(bnpforecast.__file__)))
     env = {**os.environ, "PYTHONPATH": src_dir}
     runs = [
@@ -624,6 +745,7 @@ def test_only_run_workers_import_scipy(experiment, tmp_path):
         (["validate", "--config", cfg_path], ("scipy",)),
         (["report", "--out", str(out)], ("scipy", "jsonschema")),
         (["summarize-lasso", "--config", cfg_path], ("scipy",)),
+        (["run", "--config", run_cfg], ("scipy",)),
     ]
     for argv, banned in runs:
         code = ("import json, sys, bnpforecast, bnpforecast.cli\n"

@@ -224,9 +224,17 @@ def _split_model(model_id: str) -> tuple[str, str]:
     return mean_kind, error_kind
 
 
+def cell_data(panel, dspec: DatasetSpec, is_uc: bool):
+    """Whole-sample data of a cell's dataset: the target alone for UC, the
+    unstandardized regression for the other mean kinds (each window is
+    standardized on its own rows)."""
+    if is_uc:
+        return assemble_target_only(panel, dspec)
+    return assemble_regression(panel, dspec, standardize=False)
+
+
 def _origins(panel, cfg: RunConfig, dspec: DatasetSpec, is_uc: bool) -> list[int]:
-    full = assemble_target_only(panel, dspec) if is_uc else \
-        assemble_regression(panel, dspec, standardize=False)
+    full = cell_data(panel, dspec, is_uc)
     start, end = parse_quarter(cfg.eval_start), parse_quarter(cfg.eval_end)
     real = full.origin_dates + dspec.horizon
     if start < real.min() or end > real.max():
@@ -346,14 +354,13 @@ def _estimate_cell(task: dict) -> dict:
                              task["include_expectations"], variant, cell.horizon)
         key = (variant, cell.horizon, is_uc)
         if key not in _WORKER["full"]:
-            _WORKER["full"][key] = assemble_target_only(panel, dspec) if is_uc else \
-                assemble_regression(panel, dspec, standardize=False)
+            _WORKER["full"][key] = cell_data(panel, dspec, is_uc)
         full = _WORKER["full"][key]
         spec = ModelSpec(mean_kind=mean_kind, error_kind=error_kind, dataset=dspec)
         mcmc = McmcConfig(**task["mcmc"])
         # tasks built outside cmd_run (bench/replay.py) may omit min_train
-        pred = forecast_cell(spec, panel, cell.origin, mcmc, master_seed=task["seed"],
-                             full=full,
+        pred = forecast_cell(spec, panel, cell.origin, mcmc, full,
+                             master_seed=task["seed"],
                              min_train=task.get("min_train", MIN_TRAIN_QUARTERS))
 
         pit_seed = derive_cell_seed(task["seed"], cell.model_id + "|pit",

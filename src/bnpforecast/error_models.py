@@ -40,8 +40,6 @@ __all__ = [
     "sample_homosk_var",
     "sv_update",
     "error_variance_diag",
-    "error_predictive_mixture",
-    "error_predictive_draw",
     "mixture_density",
     "error_sweep",
     "init_error_state",
@@ -645,39 +643,6 @@ def error_mean_offsets(state: ErrorState, T: int) -> np.ndarray:
     if state.kind in ("DPM", "DPMSV"):
         return state.dpm.comp_mean[state.dpm.alloc]
     return np.zeros(T)
-
-
-def _sv_forward(sv: SvState, h_steps: int, rng: np.random.Generator) -> float:
-    h = float(sv.h[-1])
-    sd = math.sqrt(sv.sig2_h)
-    for _ in range(h_steps):
-        h = sv.mu_h + sv.rho_h * (h - sv.mu_h) + sd * rng.standard_normal()
-    return h
-
-
-def error_predictive_mixture(state: ErrorState, h_steps: int, rng: np.random.Generator):
-    """(weights, offsets, variances) of the error predictive for one draw.
-
-    SV kinds simulate the log variance forward h steps through the AR(1);
-    DPM kinds expose the full weight mixture for analytic scoring.
-    """
-    if state.kind == "Homosk":
-        return np.ones(1), np.zeros(1), np.array([state.sigma2])
-    if state.kind == "SV":
-        return np.ones(1), np.zeros(1), np.array([math.exp(_sv_forward(state.sv, h_steps, rng))])
-    if state.kind == "DPM":
-        return state.dpm.weights.copy(), state.dpm.comp_mean.copy(), state.dpm.comp_var.copy()
-    var = math.exp(_sv_forward(state.sv, h_steps, rng))
-    return state.dpm.weights.copy(), state.dpm.comp_mean.copy(), np.full(state.dpm.J, var)
-
-
-def error_predictive_draw(state: ErrorState, h_steps: int, rng: np.random.Generator):
-    """One (mean_offset, variance) pair for predictive simulation."""
-    w, off, var = error_predictive_mixture(state, h_steps, rng)
-    if w.size == 1:
-        return float(off[0]), float(var[0])
-    j = int(rng.choice(w.size, p=w / w.sum()))
-    return float(off[j]), float(var[j])
 
 
 def mixture_density(weights: np.ndarray, means: np.ndarray, variances: np.ndarray,

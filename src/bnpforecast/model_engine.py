@@ -3,8 +3,9 @@
 Combines a conditional-mean block (GP, subspace-shrunk GP, its linear
 limit, or a random-walk trend) with an error block (homoskedastic, DPM,
 SV, or DPM-SV) into the sixteen model variants, runs the Gibbs/MH chain,
-simulates h-step-ahead predictive draws, and drives the recursive
-expanding-window forecast experiment.
+and simulates h-step-ahead predictive draws: ``forecast_cell`` estimates
+one (model, origin) cell of the expanding-window experiment, whose
+origins ``cli`` enumerates.
 
 The GP updates work in precision form: with A = K^{-1} + (I - Phi0)/tau^2
 (A = K^{-1} for the plain GP) and P = A + Sigma^{-1}, the latent function
@@ -47,12 +48,9 @@ from .data_pipeline import (
     ModelSpec,
     RegressionData,
     assemble_regression,
-    assemble_target_only,
     derive_cell_seed,
     format_quarter,
-    forecast_origins,
     model_grid,
-    parse_quarter,
     principal_components,
 )
 from .error_models import (
@@ -92,11 +90,8 @@ __all__ = [
     "uc_trend_update",
     "run_chain",
     "predictive_simulate",
-    "assemble_target_only",
-    "forecast_origins",
     "make_window",
     "forecast_cell",
-    "recursive_forecast",
     "inefficiency_factor",
 ]
 
@@ -695,7 +690,6 @@ def _error_mixture_for_draw(spec: ModelSpec, draws: PosteriorDraws, i: int,
 
 
 def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
-                        x_origin: np.ndarray | None,
                         rng: np.random.Generator) -> PredictiveDraws:
     """Simulate one outcome draw per retained posterior draw.
 
@@ -704,7 +698,8 @@ def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
     (offset, var_e) from the error block's h-step predictive. Linear's f
     lies in the span of the window basis B, so its value at the origin row
     b_new is the basis projection g'f with g = B (B'B)^{-1} b_new, the
-    minimum-norm solution of B'g = b_new, exactly, and var_f = 0.
+    minimum-norm solution of B'g = b_new, exactly, and var_f = 0. The
+    origin row is the window's ``x_new``.
     """
     n = draws.n_retained
     h = draws.window.horizon
@@ -714,9 +709,6 @@ def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
     predictor = g = None
     if spec.mean_kind != "UC":
         data = draws.window
-        if x_origin is not None and data.x_new is None:
-            data = WindowData(data.y, data.X, np.asarray(x_origin, float),
-                              data.origin_date, data.horizon, data.y_offset)
         if spec.mean_kind == "Linear":
             B, b_new, _ = _window_basis(spec, data.X, data.x_new, PC_BASIS_RANK)
             g = np.linalg.lstsq(B.T, b_new.ravel(), rcond=None)[0]
@@ -746,7 +738,7 @@ def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
 
 
 # ---------------------------------------------------------------------------
-# recursive experiment
+# one cell of the expanding-window experiment
 
 
 def make_window(full: RegressionData, panel, dspec: DatasetSpec, origin: int,
@@ -767,17 +759,15 @@ def make_window(full: RegressionData, panel, dspec: DatasetSpec, origin: int,
 
 
 def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
-                  master_seed: int | None = None,
-                  full: RegressionData | None = None,
+                  full: RegressionData, master_seed: int | None = None,
                   min_train: int = MIN_TRAIN_QUARTERS) -> PredictiveDraws:
     """Estimate one (model, origin) cell and simulate its predictive draws.
 
-    Raises ValueError when the training window is shorter than ``min_train``.
+    ``full`` is the whole-sample data of the cell's dataset, as
+    ``cli.cell_data`` assembles it. Raises ValueError when the training
+    window is shorter than ``min_train``.
     """
     dspec = spec.dataset
-    if full is None:
-        full = (assemble_target_only(panel, dspec) if spec.mean_kind == "UC"
-                else assemble_regression(panel, dspec, standardize=False))
     if spec.mean_kind == "UC":
         h = dspec.horizon
         mask = full.origin_dates <= origin - h
@@ -796,7 +786,7 @@ def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
     rng = np.random.default_rng(seed)
     cell_cfg = replace(cfg, seed=seed)
     draws = run_chain(spec, window, cell_cfg, rng=rng)
-    pred = predictive_simulate(spec, draws, window.x_new, rng)
+    pred = predictive_simulate(spec, draws, rng)
     idx = np.searchsorted(full.origin_dates, origin)
     pred.y_true = float(full.y[idx])
     pred.diagnostics = {
@@ -806,28 +796,3 @@ def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
     }
     return pred
 
-
-def recursive_forecast(spec: ModelSpec, panel, eval_start, eval_end,
-                       cfg: McmcConfig, master_seed: int | None = None,
-                       min_train: int = MIN_TRAIN_QUARTERS) -> list[PredictiveDraws]:
-    """Expanding-window experiment: a fresh chain at every origin with at
-    least ``min_train`` training quarters."""
-    if isinstance(eval_start, str):
-        eval_start = parse_quarter(eval_start)
-    if isinstance(eval_end, str):
-        eval_end = parse_quarter(eval_end)
-    dspec = spec.dataset
-    full = (assemble_target_only(panel, dspec) if spec.mean_kind == "UC"
-            else assemble_regression(panel, dspec, standardize=False))
-    results: list[PredictiveDraws] = []
-    for origin in forecast_origins(full, eval_start, eval_end):
-        h = dspec.horizon
-        n_train = int(np.sum(full.origin_dates <= origin - h))
-        if n_train < min_train:
-            warnings.warn(
-                f"skipping origin {format_quarter(origin)}: {n_train} training "
-                f"quarters (minimum {min_train})")
-            continue
-        results.append(forecast_cell(spec, panel, origin, cfg, master_seed=master_seed,
-                                     full=full, min_train=min_train))
-    return results

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from bnpforecast.data_pipeline import load_panel
+import bnpforecast.model_engine as me
+from bnpforecast.data_pipeline import DatasetSpec, ModelSpec, load_panel
 from bnpforecast.synthetic import synthetic_panel, write_panel_csv
 
 ACCEPTANCE_RESULTS: list[str] = []
@@ -35,3 +36,52 @@ def panel(panel_files):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240814)
+
+
+def dense_kernel(X, hyper):
+    """Oracle Gaussian kernel from explicit pairwise differences:
+    K[t, s] = xi * exp(-(phi/2) ||x_t - x_s||^2), diagonal exactly xi."""
+    X = np.asarray(X, dtype=float)
+    D2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
+    return hyper.xi * np.exp(-0.5 * hyper.phi * D2)
+
+
+class ZeroRng:
+    """Stub generator: all normals zero, gamma draws pinned at their mean."""
+
+    def standard_normal(self, n=None):
+        return np.zeros(n) if n is not None else 0.0
+
+    def gamma(self, shape, scale=1.0, size=None):
+        return float(shape) * scale
+
+
+class UnitRng:
+    """Stub generator whose normal vector is the i-th unit vector."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def standard_normal(self, n):
+        z = np.zeros(n)
+        z[self.i] = 1.0
+        return z
+
+
+def engine_conditional(mean_kind, X, r, sigma, hyper, zeta=None):
+    """(collapsed log-likelihood, mean, covariance) of f from the engine's
+    mean block, the path ``run`` executes: the window context, the prior
+    precision A, the posterior precision P and the f draw. The mean is the
+    draw at z = 0 and the covariance W W' from the draws at unit vectors z."""
+    X = np.asarray(X, dtype=float)
+    spec = ModelSpec(mean_kind, "Homosk", DatasetSpec("Moderate", "PRICE", 1, False))
+    data = me.WindowData(y=np.asarray(r, dtype=float), X=X,
+                         x_new=np.zeros(X.shape[1]), horizon=1)
+    ctx = me._GpContext(spec, data)
+    A, _, logdetA = me._a_pieces(ctx, hyper, zeta)
+    cP, logdetP = me._p_pieces(A, sigma, ctx.U)
+    ll = me._collapsed_loglik(r, sigma, logdetA, cP, logdetP, ctx.U)
+    fbar = me._draw_f(r, sigma, cP, ZeroRng(), ctx.U)
+    W = np.column_stack([me._draw_f(r, sigma, cP, UnitRng(i), ctx.U) - fbar
+                         for i in range(cP[0].shape[0])])
+    return ll, fbar, W @ W.T

@@ -30,13 +30,7 @@ from bnpforecast.evaluation import (
     quantile_score,
     rs_diagnostic,
 )
-from bnpforecast.gp_core import (
-    KernelHyper,
-    gaussian_kernel_matrix,
-    projection_matrix,
-    sample_f,
-    subspace_kernel,
-)
+from bnpforecast.gp_core import KernelHyper
 from bnpforecast.linear_summary import P_GRID, QuantilePathSet, fit_quantile_paths
 from bnpforecast.model_engine import inefficiency_factor, model_grid
 
@@ -59,11 +53,14 @@ def criterion(n, desc):
 # 1-2: Gaussian-process conditionals
 
 
+HYPER = KernelHyper(xi=0.9, phi=0.6)
+
+
 def _gp_fixture():
     rng = np.random.default_rng(31)
     T, K = 25, 3
     X = rng.standard_normal((T, K))
-    Kmat = gaussian_kernel_matrix(X, KernelHyper(xi=0.9, phi=0.6))
+    Kmat = conftest.dense_kernel(X, HYPER)
     y = np.tanh(X @ np.array([1.0, -0.6, 0.4])) + 0.5 * rng.standard_normal(T)
     return X, Kmat, y
 
@@ -73,7 +70,7 @@ def test_criterion_1_gp_conditional_matches_dense_oracle():
         start = time.perf_counter()
         X, Kmat, y = _gp_fixture()
         s = np.full(25, 0.25)
-        _, fbar, Vbar = sample_f(Kmat, s, y, None, np.random.default_rng(0))
+        _, fbar, Vbar = conftest.engine_conditional("GP", X, y, s, HYPER)
 
         # covariance-form oracle via plain inverse
         Minv = np.linalg.inv(Kmat + np.diag(s))
@@ -92,24 +89,21 @@ def test_criterion_1_gp_conditional_matches_dense_oracle():
 def test_criterion_2_subspace_shrinkage_endpoints():
     with criterion(2, "subspace kernel endpoints: plain-GP and projection fits"):
         start = time.perf_counter()
-        X, Kmat, y = _gp_fixture()
-        proj = projection_matrix(X)
+        X, _, y = _gp_fixture()
         s = np.full(25, 0.25)
-        _, fbar_gp, _ = sample_f(Kmat, s, y, None, np.random.default_rng(0))
+        _, fbar_gp, _ = conftest.engine_conditional("GP", X, y, s, HYPER)
 
-        # loose endpoint: enormous tau2 leaves the kernel unshrunk
-        K1 = subspace_kernel(Kmat, proj, 1e8)
-        _, fbar_loose, _ = sample_f(K1, s, y, None, np.random.default_rng(0))
+        # loose endpoint: enormous tau2 (zeta = 1/tau2) leaves the kernel unshrunk
+        _, fbar_loose, _ = conftest.engine_conditional("GPSub", X, y, s, HYPER, zeta=1e-8)
         assert np.max(np.abs(fbar_loose - fbar_gp)) / np.max(np.abs(fbar_gp)) < 1e-4
 
         # tight endpoint: tiny tau2 pins the fit to the linear projection of y.
         # sigma^2 trades off prior shrinkage (grows with sigma) against leakage
         # from the penalized complement (grows as sigma -> 0); 0.02 sits well
         # inside the window where both are below the tolerance.
-        K1 = subspace_kernel(Kmat, proj, 1e-8)
-        _, fbar_tight, _ = sample_f(K1, np.full(25, 0.02 ** 2), y, None,
-                                    np.random.default_rng(0))
-        target = proj.Phi0 @ y
+        _, fbar_tight, _ = conftest.engine_conditional(
+            "GPSub", X, y, np.full(25, 0.02 ** 2), HYPER, zeta=1e8)
+        target = X @ np.linalg.lstsq(X, y, rcond=None)[0]
         assert np.max(np.abs(fbar_tight - target)) / np.max(np.abs(target)) < 1e-3
         assert time.perf_counter() - start < 1.0
 

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import digamma
 
+import bnpforecast.model_engine as me
+from bnpforecast.data_pipeline import DatasetSpec, ModelSpec
 from bnpforecast.error_models import (
     ERROR_KINDS,
     KAPPA,
@@ -29,8 +31,6 @@ from bnpforecast.error_models import (
     _sv_ffbs,
     _truncnorm_rvs,
     error_mean_offsets,
-    error_predictive_draw,
-    error_predictive_mixture,
     error_sweep,
     error_variance_diag,
     init_error_state,
@@ -739,43 +739,57 @@ def test_error_variance_diag_cases():
     assert_allclose(error_mean_offsets(sv, 3), np.zeros(3))
 
 
-def test_predictive_draw_homosk_and_single_atom():
-    homo = ErrorState(kind="Homosk", sigma2=0.81, sigma2_prior=(3.0, 3.0))
-    rng = np.random.default_rng(19)
-    assert error_predictive_draw(homo, 1, rng) == (0.0, 0.81)
+# ---------------------------------------------------------------------------
+# error predictive at the forecast origin (the engine's per-draw mixture)
 
-    dpm = init_error_state("DPM", 2, 1.0)
-    dpm.dpm = dataclasses.replace(dpm.dpm, comp_mean=np.array([0.3]))
-    off, var = error_predictive_draw(dpm, 1, rng)
-    assert off == 0.3 and var == dpm.dpm.comp_var[0]
+
+def _predictive_mixture(error_kind, scalars, h, rng, weights=None, means=None,
+                        variances=None):
+    """(weights, offsets, variances) of the error predictive h steps ahead
+    from retained draw 0, as ``predictive_simulate`` takes them."""
+    ds = DatasetSpec("Moderate", "PRICE", h, False)
+    spec = ModelSpec("UC", error_kind, ds)
+    window = me.WindowData(y=np.zeros(5), X=None, x_new=None, horizon=h)
+    draws = me.PosteriorDraws(
+        spec=spec, window=window, scalars={k: np.atleast_1d(v) for k, v in scalars.items()},
+        f=None, err_weights=weights, err_means=means, err_vars=variances,
+        ifs={}, accept={}, seed=0, runtime=0.0, n_retained=1)
+    return me._error_mixture_for_draw(spec, draws, 0, h, rng)
+
+
+def test_predictive_draw_homosk_and_single_atom():
+    rng = np.random.default_rng(19)
+    w, off, var = _predictive_mixture("Homosk", {"sigma2": 0.81}, 1, rng)
+    assert (w.tolist(), off.tolist(), var.tolist()) == ([1.0], [0.0], [0.81])
+
+    w, off, var = _predictive_mixture("DPM", {}, 1, rng, weights=[np.ones(1)],
+                                      means=[np.array([0.3])], variances=[np.array([0.7])])
+    assert (w.tolist(), off.tolist(), var.tolist()) == ([1.0], [0.3], [0.7])
 
 
 def test_predictive_sv_lognormal_moments():
-    # rho = 0 makes the step-ahead variance exp(N(mu_h, sig2_h))
-    state = ErrorState(
-        kind="SV", sv=SvState(h=np.full(5, 0.4), mu_h=0.4, rho_h=0.0, sig2_h=0.09)
-    )
+    """The h-step log variance is AR(1) from h_T: N(m, v) with
+    m = mu + rho^h (h_T - mu) and v = sig2 (1 - rho^(2h)) / (1 - rho^2),
+    so the variance has mean exp(m + v/2); at h = 1 and h = 4."""
+    mu, rho, sig2, h_last = 0.4, 0.8, 0.09, 1.0
+    scalars = {"h_last": h_last, "mu_h": mu, "rho_h": rho, "sig2_h": sig2}
     rng = np.random.default_rng(6)
-    vs = np.array([error_predictive_draw(state, 1, rng)[1] for _ in range(20_000)])
-    assert abs(vs.mean() / math.exp(0.4 + 0.045) - 1.0) < 0.02
+    for h in (1, 4):
+        vs = np.array([_predictive_mixture("SV", scalars, h, rng)[2][0]
+                       for _ in range(20_000)])
+        m = mu + rho ** h * (h_last - mu)
+        v = sig2 * (1.0 - rho ** (2 * h)) / (1.0 - rho ** 2)
+        assert abs(vs.mean() / math.exp(m + 0.5 * v) - 1.0) < 0.02, h
 
 
 def test_predictive_mixture_hybrid_shares_variance():
-    hyb = init_error_state("DPMSV", 4, 1.0)
-    hyb.dpm = dataclasses.replace(
-        hyb.dpm,
-        sticks=np.array([0.6, 1.0]),
-        weights=np.array([0.6, 0.4]),
-        comp_mean=np.array([-0.5, 0.5]),
-        alloc=np.array([0, 1, 0, 1]),
-    )
-    w, off, var = error_predictive_mixture(hyb, 2, np.random.default_rng(20))
+    scalars = {"h_last": 0.2, "mu_h": 0.0, "rho_h": 0.9, "sig2_h": 0.1}
+    w, off, var = _predictive_mixture(
+        "DPMSV", scalars, 2, np.random.default_rng(20),
+        weights=[np.array([0.6, 0.4])], means=[np.array([-0.5, 0.5])])
     assert_allclose(w, [0.6, 0.4])
     assert_allclose(off, [-0.5, 0.5])
     assert var[0] == var[1] > 0.0
-    # returned arrays are copies, not views into the state
-    w[0] = 99.0
-    assert hyb.dpm.weights[0] == 0.6
 
 
 def test_mixture_density_matches_normal():

@@ -1,31 +1,34 @@
-"""Tests for the latent-function machinery: kernels, subspace shrinkage,
-conjugate draws, and the hyperparameter random walk."""
+"""Tests for the latent-function machinery: kernels, the window basis and
+subspace shrinkage, the f conditional, the tau^2 and hyperparameter moves,
+and the predictive at the forecast origin. Each piece is tested where the
+engine computes it (``gp_core`` and ``model_engine``), against dense
+plain-inverse oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
-from scipy.linalg import qr
+from scipy.linalg import cho_solve, qr
 
+import bnpforecast.model_engine as me
+from bnpforecast.data_pipeline import PC_BASIS_RANK, DatasetSpec, ModelSpec
 from bnpforecast.gp_core import (
     AdaptiveStep,
-    GpState,
     KernelHyper,
     SingularKernelError,
-    SubspaceWeight,
     chol_psd,
-    gaussian_kernel_matrix,
-    gp_predict,
     kernel_from_sqdist,
-    projection_matrix,
-    sample_f,
     sample_kernel_hyper,
     sample_tau2,
     squared_distances,
-    subspace_kernel,
-    tau_prior_logpdf,
 )
+from conftest import dense_kernel, engine_conditional
+
+
+def _kernel(X, hyper):
+    """The kernel matrix as the engine forms it."""
+    return kernel_from_sqdist(squared_distances(X), hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +37,7 @@ from bnpforecast.gp_core import (
 
 def test_kernel_diagonal_is_amplitude():
     X = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, -1.0]])  # duplicate rows
-    K = gaussian_kernel_matrix(X, KernelHyper(0.5, 0.3))
+    K = _kernel(X, KernelHyper(0.5, 0.3))
     assert_allclose(np.diag(K), 0.5)
     # the duplicate pair also hits the amplitude off the diagonal
     assert K[0, 1] == 0.5
@@ -43,7 +46,7 @@ def test_kernel_diagonal_is_amplitude():
 def test_kernel_closed_form_entry():
     # k(x, x') = xi * exp(-phi/2 * ||x-x'||^2); at xi=0.5, phi=0.5, d^2=4
     X = np.array([[0.0], [2.0]])
-    K = gaussian_kernel_matrix(X, KernelHyper(0.5, 0.5))
+    K = _kernel(X, KernelHyper(0.5, 0.5))
     assert_allclose(K[0, 1], 0.5 * np.exp(-1.0), rtol=1e-14)
     assert_allclose(K[0, 1], 0.18393972058572117, rtol=1e-14)
 
@@ -52,7 +55,7 @@ def test_kernel_flat_limit():
     # phi -> 0 makes every entry the amplitude
     rng = np.random.default_rng(0)
     X = rng.standard_normal((6, 3))
-    K = gaussian_kernel_matrix(X, KernelHyper(0.4, 1e-12))
+    K = _kernel(X, KernelHyper(0.4, 1e-12))
     assert_allclose(K, 0.4, rtol=1e-9)
 
 
@@ -72,7 +75,7 @@ def test_squared_distances_cross():
 def test_kernel_symmetric_psd(xi, phi, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((8, 4))
-    K = gaussian_kernel_matrix(X, KernelHyper(xi, phi))
+    K = _kernel(X, KernelHyper(xi, phi))
     assert_allclose(K, K.T, atol=1e-14)
     assert np.linalg.eigvalsh(K).min() >= -1e-8 * xi
 
@@ -89,124 +92,166 @@ def test_kernel_from_sqdist_matches_matrix_off_diagonal():
     X = rng.standard_normal((5, 2))
     h = KernelHyper(0.8, 0.6)
     K = kernel_from_sqdist(squared_distances(X), h)
-    K2 = gaussian_kernel_matrix(X, h)
+    K2 = dense_kernel(X, h)
     off = ~np.eye(5, dtype=bool)
     assert_allclose(K[off], K2[off], rtol=1e-14)
+    assert_allclose(np.diag(K), 0.8, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# shrinkage weight and projector
+# window basis and projector
 
 
-def test_subspace_weight_omega():
-    assert SubspaceWeight(1.0).omega == 0.5
-    assert_allclose(SubspaceWeight(1e-8).omega, 1.0, rtol=1e-7)
-    w = SubspaceWeight(2.5)
-    assert_allclose((1.0 - w.omega) / w.omega, 2.5, rtol=1e-12)
-    with pytest.raises(ValueError):
-        SubspaceWeight(0.0)
+def _spec(mean_kind="GPSub", variant="Moderate"):
+    return ModelSpec(mean_kind, "Homosk", DatasetSpec(variant, "PRICE", 1, False))
+
+
+def _ctx(X, mean_kind="GPSub", variant="Moderate", pc_rank=PC_BASIS_RANK):
+    X = np.asarray(X, dtype=float)
+    data = me.WindowData(y=np.zeros(X.shape[0]), X=X, x_new=None)
+    return me._GpContext(_spec(mean_kind, variant), data, pc_rank=pc_rank)
+
+
+def _svd_projector(X, r):
+    """Oracle projector onto the r leading left singular vectors of X, the
+    span of its r leading principal-component scores."""
+    U = np.linalg.svd(X, full_matrices=False)[0][:, :r]
+    return U @ U.T
 
 
 def test_projection_onto_constant_column():
     X = np.ones((7, 1))
-    proj = projection_matrix(X)
+    ctx = _ctx(X)
     y = np.arange(7.0)
-    assert_allclose(proj.Phi0 @ y, np.full(7, y.mean()), atol=1e-12)
-    assert proj.basis_rank == 1
+    assert_allclose(ctx.Phi0 @ y, np.full(7, y.mean()), atol=1e-12)
+    assert ctx.basis_rank == 1
 
 
 def test_projection_orthonormal_basis():
     rng = np.random.default_rng(2)
     Q = qr(rng.standard_normal((8, 3)), mode="economic")[0]
-    proj = projection_matrix(Q)
-    assert_allclose(proj.Phi0, Q @ Q.T, atol=1e-12)
+    assert_allclose(_ctx(Q).Phi0, Q @ Q.T, atol=1e-12)
 
 
 def test_projection_idempotent_symmetric():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((12, 4))
-    P = projection_matrix(X).Phi0
+    ctx = _ctx(X)
+    P = ctx.Phi0
     assert_allclose(P @ P, P, atol=1e-10)
     assert_allclose(P, P.T, atol=1e-12)
     assert_allclose(np.trace(P), 4.0, atol=1e-10)
+    assert_allclose(ctx.Q @ X, 0.0, atol=1e-10)
 
 
 def test_projection_rejects_collinear_basis():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(10)
     X = np.column_stack([x, 2.0 * x, rng.standard_normal(10)])
-    with pytest.raises(ValueError, match="rank-deficient"):
-        projection_matrix(X)
+    for mean_kind in ("GPSub", "Linear"):
+        with pytest.raises(SingularKernelError, match="rank deficient"):
+            _ctx(X, mean_kind)
 
 
 def test_projection_switches_to_principal_components():
     # with K >= T the basis becomes leading PC scores, capped at T-1
     rng = np.random.default_rng(5)
     X = rng.standard_normal((5, 9))
-    proj = projection_matrix(X)
-    assert proj.basis_rank == 4
-    assert proj.basis.shape == (5, 4)
-    assert_allclose(proj.Phi0 @ proj.basis, proj.basis, atol=1e-10)
+    B, b_new, k = me._window_basis(_spec(), X, None, PC_BASIS_RANK)
+    assert k == 4 and B.shape == (5, 4) and b_new is None
+    ctx = _ctx(X)
+    assert ctx.basis_rank == 4
+    assert_allclose(ctx.Phi0 @ B, B, atol=1e-10)
+    assert_allclose(ctx.Phi0, _svd_projector(X, 4), atol=1e-10)
 
 
 def test_projection_pc_rank_cap():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((30, 40))
-    assert projection_matrix(X).basis_rank == 6
-    assert projection_matrix(X, pc_rank=2).basis_rank == 2
+    assert _ctx(X).basis_rank == 6
+    ctx = _ctx(X, pc_rank=2)
+    assert ctx.basis_rank == 2
+    assert_allclose(ctx.Phi0, _svd_projector(X, 2), atol=1e-10)
+
+
+def test_projection_large_variant_uses_principal_components():
+    """The Large variant shrinks toward the leading PC scores even when
+    K < T, and maps the origin row through the same loadings; the other
+    variants keep the raw predictors."""
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((40, 8))
+    B, b_new, k = me._window_basis(_spec(variant="Large"), X, X[3], PC_BASIS_RANK)
+    assert k == PC_BASIS_RANK and B.shape == (40, k)
+    assert_allclose(b_new, B[3], atol=1e-12)
+    for mean_kind in ("GPSub", "Linear"):
+        ctx = _ctx(X, mean_kind, "Large")
+        assert ctx.basis_rank == k
+        Phi0 = ctx.Phi0 if ctx.U is None else ctx.U @ ctx.U.T
+        assert_allclose(Phi0, _svd_projector(X, k), atol=1e-10)
+    B, b_new, k = me._window_basis(_spec(variant="Moderate"), X, X[3], PC_BASIS_RANK)
+    assert k == 8 and B is X and np.array_equal(b_new, X[3])
+    assert _ctx(X).basis_rank == 8
 
 
 # ---------------------------------------------------------------------------
-# subspace-shrunk kernel
+# subspace-shrunk prior: precision A = K^-1 + zeta (I - Phi0), K1 = A^-1
+
+
+def _shrunk_kernel(ctx, hyper, tau2):
+    """K1 from the engine's factor of A at zeta = 1/tau2, and log det A."""
+    T = ctx.T
+    _, cA, logdetA = me._a_pieces(ctx, hyper, 1.0 / tau2)
+    return cho_solve(cA, np.eye(T)), logdetA
 
 
 def test_subspace_kernel_two_by_two_oracle():
-    # K = I, Phi0 = diag(1,0), tau2 = 1:
-    # K1 = (I + diag(0,1))^{-1} = diag(1, 1/2)
-    K = np.eye(2)
-    P = np.diag([1.0, 0.0])
-    K1 = subspace_kernel(K, P, 1.0)
-    assert_allclose(K1, np.diag([1.0, 0.5]), atol=1e-12)
+    # X = (1, 0)': Phi0 = diag(1, 0), and K = [[xi, c], [c, xi]] with
+    # c = xi exp(-phi/2). At xi = 1/2, tau2 = 1 with d = 1/4 - c^2:
+    # A = K^-1 + diag(0, 1), det A = 3 / (2 d) and
+    # K1 = [[(1/2 + d), c], [c, 1/2]] / (3/2)
+    hyper = KernelHyper(0.5, 0.5)
+    c = 0.5 * np.exp(-0.25)
+    d = 0.25 - c * c
+    ctx = _ctx([[1.0], [0.0]])
+    assert_allclose(ctx.Phi0, np.diag([1.0, 0.0]), atol=1e-15)
+    K1, logdetA = _shrunk_kernel(ctx, hyper, 1.0)
+    assert_allclose(K1, np.array([[0.5 + d, c], [c, 0.5]]) / 1.5, atol=1e-12)
+    assert_allclose(logdetA, np.log(1.5 / d), rtol=1e-12)
 
 
 def test_subspace_kernel_large_tau2_recovers_kernel():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((8, 3))
-    K = gaussian_kernel_matrix(X, KernelHyper(0.7, 0.4))
-    P = projection_matrix(X).Phi0
-    K1 = subspace_kernel(K, P, 1e8)
+    hyper = KernelHyper(0.7, 0.4)
+    K = dense_kernel(X, hyper)
+    K1, _ = _shrunk_kernel(_ctx(X), hyper, 1e8)
     assert np.max(np.abs(K1 - K)) < 1e-4 * np.max(np.abs(K))
 
 
 def test_subspace_kernel_full_projector_is_identity_map():
+    # shrinkage acts only off the subspace: with the whole space as the
+    # subspace, A = K^-1 and K1 = K at any tau2
     rng = np.random.default_rng(8)
     X = rng.standard_normal((6, 2))
-    K = gaussian_kernel_matrix(X, KernelHyper(0.6, 0.5))
-    K1 = subspace_kernel(K, np.eye(6), 0.01)
-    assert_allclose(K1, K, atol=1e-10)
+    hyper = KernelHyper(0.6, 0.5)
+    ctx = _ctx(X)
+    ctx.Phi0, ctx.Q = np.eye(6), np.zeros((6, 6))
+    K1, _ = _shrunk_kernel(ctx, hyper, 0.01)
+    assert_allclose(K1, dense_kernel(X, hyper), atol=1e-10)
 
 
 def test_subspace_kernel_matches_direct_inverse():
     rng = np.random.default_rng(9)
     T = 12
     X = rng.standard_normal((T, 3))
-    K = gaussian_kernel_matrix(X, KernelHyper(0.75, 0.35))
-    P = projection_matrix(X).Phi0
+    hyper = KernelHyper(0.75, 0.35)
+    K = dense_kernel(X, hyper)
+    Q = qr(X, mode="economic")[0]
     tau2 = 0.7
-    direct = np.linalg.inv(np.linalg.inv(K) + (np.eye(T) - P) / tau2)
-    assert_allclose(subspace_kernel(K, P, tau2), direct, atol=1e-9)
-
-
-def test_subspace_kernel_accepts_projection_object():
-    rng = np.random.default_rng(10)
-    X = rng.standard_normal((7, 2))
-    K = gaussian_kernel_matrix(X, KernelHyper(0.5, 0.5))
-    proj = projection_matrix(X)
-    assert_allclose(
-        subspace_kernel(K, proj, 0.3), subspace_kernel(K, proj.Phi0, 0.3), atol=1e-12
-    )
-    with pytest.raises(ValueError, match="tau2"):
-        subspace_kernel(K, proj, 0.0)
+    direct = np.linalg.inv(np.linalg.inv(K) + (np.eye(T) - Q @ Q.T) / tau2)
+    K1, logdetA = _shrunk_kernel(_ctx(X), hyper, tau2)
+    assert_allclose(K1, direct, atol=1e-9)
+    assert_allclose(logdetA, -np.linalg.slogdet(direct)[1], rtol=1e-10)
 
 
 def test_chol_psd_failure_modes():
@@ -224,99 +269,61 @@ def test_chol_psd_failure_modes():
 
 
 # ---------------------------------------------------------------------------
-# latent-function full conditional
+# latent-function full conditional (the engine's mean block)
 
 
 def _toy_f_problem():
     X = np.array([[0.0], [2.0], [4.0]])
-    K1 = gaussian_kernel_matrix(X, KernelHyper(0.9, 0.9))
     s = np.array([0.3, 0.5, 0.2])
     y = np.array([0.4, -0.2, 0.9])
-    return K1, s, y
+    return X, KernelHyper(0.9, 0.9), s, y
 
 
 def test_sample_f_moments_match_dense_oracle():
-    K1, s, y = _toy_f_problem()
+    X, hyper, s, y = _toy_f_problem()
+    K1 = dense_kernel(X, hyper)
     Minv = np.linalg.inv(K1 + np.diag(s))
     fbar_o = K1 @ Minv @ y
     Vbar_o = K1 - K1 @ Minv @ K1
-    _, fbar, Vbar = sample_f(K1, s, y, None, np.random.default_rng(0))
+    _, fbar, Vbar = engine_conditional("GP", X, y, s, hyper)
     assert_allclose(fbar, fbar_o, atol=1e-10)
     assert_allclose(Vbar, Vbar_o, atol=1e-10)
 
 
-def test_sample_f_mu_defaults_to_zero():
-    K1, s, y = _toy_f_problem()
-    d1 = sample_f(K1, s, y, None, np.random.default_rng(42))
-    d2 = sample_f(K1, s, y, np.zeros(3), np.random.default_rng(42))
-    assert_allclose(d1[0].f, d2[0].f, atol=0)
-
-
 def test_sample_f_prior_mean_limit():
     # huge error variance pushes the conditional mean to the prior mean
-    K1, s, y = _toy_f_problem()
-    _, fbar, _ = sample_f(K1, np.full(3, 1e12), y, None, np.random.default_rng(1))
+    X, hyper, s, y = _toy_f_problem()
+    _, fbar, _ = engine_conditional("GP", X, y, np.full(3, 1e12), hyper)
     assert np.max(np.abs(fbar)) < 1e-9
 
 
 def test_sample_f_interpolation_limit():
-    K1, s, y = _toy_f_problem()
-    _, fbar, _ = sample_f(K1, np.full(3, 1e-12), y, None, np.random.default_rng(1))
+    X, hyper, s, y = _toy_f_problem()
+    _, fbar, _ = engine_conditional("GP", X, y, np.full(3, 1e-12), hyper)
     assert_allclose(fbar, y, atol=1e-5)
 
 
-def test_sample_f_degenerate_covariance_returns_mean():
-    # a zero prior covariance collapses the draw onto the mean without
-    # touching the generator
-    rng = np.random.default_rng(3)
-    state, fbar, Vbar = sample_f(np.zeros((3, 3)), np.ones(3), np.ones(3), None, rng)
-    assert_allclose(state.f, fbar, atol=0)
-    assert_allclose(Vbar, 0.0, atol=0)
-    assert rng.uniform() == np.random.default_rng(3).uniform()
-
-
 def test_sample_f_draw_distribution():
-    K1, s, y = _toy_f_problem()
+    X, hyper, s, y = _toy_f_problem()
+    K1 = dense_kernel(X, hyper)
     Minv = np.linalg.inv(K1 + np.diag(s))
     fbar = K1 @ Minv @ y
     Vbar = K1 - K1 @ Minv @ K1
+    A = me._a_pieces(_ctx(X, "GP"), hyper, None)[0]
+    cP, _ = me._p_pieces(A, s)
     rng = np.random.default_rng(5)
-    sims = np.array([sample_f(K1, s, y, None, rng)[0].f for _ in range(4000)])
+    sims = np.array([me._draw_f(y, s, cP, rng) for _ in range(4000)])
     assert np.max(np.abs(sims.mean(axis=0) - fbar)) < 0.05
     assert np.max(np.abs(np.cov(sims.T) - Vbar)) < 0.05
-
-
-def test_sample_f_rejects_bad_variances():
-    K1, _, y = _toy_f_problem()
-    with pytest.raises(ValueError, match="positive"):
-        sample_f(K1, np.array([0.3, -0.1, 0.2]), y, None, np.random.default_rng(0))
-
-
-def test_gp_state_requires_finite_vector():
-    with pytest.raises(ValueError):
-        GpState(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        GpState(np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------
 # shrinkage-scale slice update
 
 
-def test_tau_prior_matches_half_cauchy():
-    # at d0 = d1 = 1/2 log-density differences agree with the half-Cauchy
-    for t1, t2 in [(0.5, 1.0), (1.0, 2.0), (0.5, 2.0)]:
-        got = tau_prior_logpdf(t1) - tau_prior_logpdf(t2)
-        want = stats.halfcauchy.logpdf(t1) - stats.halfcauchy.logpdf(t2)
-        assert_allclose(got, want, atol=1e-12)
-    assert tau_prior_logpdf(0.0) == -np.inf
-    assert tau_prior_logpdf(-1.0) == -np.inf
-    # general exponents: (2 d1 - 1) log tau - (d0 + d1) log(1 + tau^2)
-    assert_allclose(
-        tau_prior_logpdf(2.0, d0=0.5, d1=1.0),
-        np.log(2.0) - 1.5 * np.log(5.0),
-        rtol=1e-12,
-    )
+def _oracle_projector(X):
+    Q = np.linalg.qr(X)[0]
+    return Q @ Q.T
 
 
 def test_tau2_chain_stationary_distribution():
@@ -326,9 +333,9 @@ def test_tau2_chain_stationary_distribution():
     rng = np.random.default_rng(31)
     T, k = 20, 3
     X = rng.standard_normal((T, k))
-    proj = projection_matrix(X)
+    P = _oracle_projector(X)
     f = rng.standard_normal(T) * 0.8
-    qf = float(f @ f - f @ (proj.Phi0 @ f))
+    qf = float(f @ f - f @ (P @ f))
     shape = 0.5 + 0.5 * (T - k)
     rate = 0.5 * qf
 
@@ -337,7 +344,7 @@ def test_tau2_chain_stationary_distribution():
     tau2 = 1.0
     r = np.random.default_rng(7)
     for i in range(n):
-        tau2 = sample_tau2(f, proj, tau2, r)
+        tau2 = sample_tau2(f, P, tau2, r, k)
         draws[i] = 1.0 / tau2
 
     hi = stats.gamma.ppf(1 - 1e-12, shape, scale=1.0 / rate) * 2
@@ -356,36 +363,21 @@ def test_tau2_chain_stationary_distribution():
 
 def test_tau2_degenerate_quadratic_form_warns():
     rng = np.random.default_rng(12)
-    X = rng.standard_normal((10, 2))
-    proj = projection_matrix(X)
-    f = proj.Phi0 @ rng.standard_normal(10)  # exactly inside the subspace
+    P = _oracle_projector(rng.standard_normal((10, 2)))
+    f = P @ rng.standard_normal(10)  # exactly inside the subspace
     with pytest.warns(UserWarning, match="shrinkage subspace"):
-        tau2 = sample_tau2(f, proj, 1.0, np.random.default_rng(0))
+        tau2 = sample_tau2(f, P, 1.0, np.random.default_rng(0), 2)
     assert np.isfinite(tau2) and tau2 > 0.0
 
 
 def test_tau2_input_validation():
     rng = np.random.default_rng(13)
-    X = rng.standard_normal((4, 2))
-    proj = projection_matrix(X)
-    with pytest.raises(ValueError, match="basis_rank"):
-        sample_tau2(np.ones(4), proj.Phi0, 1.0, rng)
+    P = _oracle_projector(rng.standard_normal((4, 2)))
     with pytest.raises(ValueError, match="exceed"):
-        sample_tau2(np.ones(2), proj, 1.0, rng)
-    # a bare projector works once the rank is supplied
+        sample_tau2(np.ones(2), P, 1.0, rng, 2)
     f = rng.standard_normal(4)
-    t = sample_tau2(f, proj.Phi0, 1.0, np.random.default_rng(1), basis_rank=2)
+    t = sample_tau2(f, P, 1.0, np.random.default_rng(1), 2)
     assert t > 0.0
-
-
-def test_tau2_accepts_gp_state():
-    rng = np.random.default_rng(14)
-    X = rng.standard_normal((8, 2))
-    proj = projection_matrix(X)
-    f = rng.standard_normal(8)
-    t1 = sample_tau2(GpState(f), proj, 0.5, np.random.default_rng(2))
-    t2 = sample_tau2(f, proj, 0.5, np.random.default_rng(2))
-    assert t1 == t2
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +474,36 @@ def test_adaptive_step_reaches_target_band():
 
 
 # ---------------------------------------------------------------------------
-# prediction
+# prediction at the forecast origin (the engine's predictor)
+
+
+def _predict(X, f, hyper, tau2, x_new, variant="Moderate"):
+    """(mean, var) of f at x_new from ``_GpPredictor``: GP without tau2,
+    GPSub with it."""
+    mean_kind = "GP" if tau2 is None else "GPSub"
+    data = me.WindowData(y=np.zeros(len(X)), X=X, x_new=x_new, horizon=1)
+    predictor = me._GpPredictor(_spec(mean_kind, variant), data)
+    return predictor(f, hyper.xi, hyper.phi, None if tau2 is None else 1.0 / tau2)
+
+
+def _dense_predict(X, f, hyper, tau2, x_new, Ba):
+    """Oracle: condition the last coordinate of the (T+1)-point prior
+    K1a = (Ka^-1 + (I - Phi_a)/tau2)^-1 on the first T, by plain inverses;
+    Phi_a projects onto the augmented basis Ba."""
+    T = X.shape[0]
+    Ka = dense_kernel(np.vstack([X, x_new]), hyper)
+    Q = qr(Ba, mode="economic")[0]
+    K1a = np.linalg.inv(np.linalg.inv(Ka) + (np.eye(T + 1) - Q @ Q.T) / tau2)
+    mean = K1a[:T, T] @ np.linalg.solve(K1a[:T, :T], f)
+    var = K1a[T, T] - K1a[:T, T] @ np.linalg.solve(K1a[:T, :T], K1a[:T, T])
+    return mean, var
 
 
 def test_gp_predict_interpolates_training_point():
     rng = np.random.default_rng(22)
     X = rng.standard_normal((6, 2))
     f = rng.standard_normal(6)
-    mean, var = gp_predict(X, f, KernelHyper(0.8, 0.5), None, X[2])
+    mean, var = _predict(X, f, KernelHyper(0.8, 0.5), None, X[2])
     assert_allclose(mean, f[2], atol=1e-7)
     assert var < 1e-7
 
@@ -502,15 +516,8 @@ def test_gp_predict_matches_dense_conditional():
     x_new = rng.standard_normal(3)
     hyp = KernelHyper(0.7, 0.3)
     tau2 = 0.7
-
-    Xa = np.vstack([X, x_new])
-    Ka = gaussian_kernel_matrix(Xa, hyp)
-    Q = qr(Xa, mode="economic")[0]
-    K1a = np.linalg.inv(np.linalg.inv(Ka) + (np.eye(T + 1) - Q @ Q.T) / tau2)
-    mean_o = K1a[:T, T] @ np.linalg.solve(K1a[:T, :T], f)
-    var_o = K1a[T, T] - K1a[:T, T] @ np.linalg.solve(K1a[:T, :T], K1a[:T, T])
-
-    mean, var = gp_predict(X, f, hyp, tau2, x_new)
+    mean_o, var_o = _dense_predict(X, f, hyp, tau2, x_new, np.vstack([X, x_new]))
+    mean, var = _predict(X, f, hyp, tau2, x_new)
     assert_allclose(mean, mean_o, atol=1e-10)
     assert_allclose(var, var_o, atol=1e-10)
 
@@ -522,12 +529,30 @@ def test_gp_predict_no_shrinkage_matches_dense_conditional():
     f = rng.standard_normal(T)
     x_new = rng.standard_normal(3)
     hyp = KernelHyper(0.6, 0.4)
-    Ka = gaussian_kernel_matrix(np.vstack([X, x_new]), hyp)
+    Ka = dense_kernel(np.vstack([X, x_new]), hyp)
     mean_o = Ka[:T, T] @ np.linalg.solve(Ka[:T, :T], f)
     var_o = Ka[T, T] - Ka[:T, T] @ np.linalg.solve(Ka[:T, :T], Ka[:T, T])
-    mean, var = gp_predict(X, f, hyp, None, x_new)
+    mean, var = _predict(X, f, hyp, None, x_new)
     assert_allclose(mean, mean_o, atol=1e-10)
     assert_allclose(var, var_o, atol=1e-10)
+
+
+def test_gp_predict_large_variant_shrinks_toward_pc_basis():
+    """Large: the shrinkage target at the origin is the PC-score basis
+    augmented with the origin row's scores under the window's loadings."""
+    rng = np.random.default_rng(35)
+    T, K = 20, 8
+    X = rng.standard_normal((T, K))
+    f = rng.standard_normal(T)
+    x_new = rng.standard_normal(K)
+    hyp = KernelHyper(0.7, 0.3)
+    V = np.linalg.svd(X, full_matrices=False)[2][:PC_BASIS_RANK].T
+    Ba = np.vstack([X @ V, x_new @ V])
+    mean_o, var_o = _dense_predict(X, f, hyp, 0.7, x_new, Ba)
+    mean, var = _predict(X, f, hyp, 0.7, x_new, variant="Large")
+    assert_allclose(mean, mean_o, atol=1e-10)
+    assert_allclose(var, var_o, atol=1e-10)
+    assert abs(mean - _predict(X, f, hyp, 0.7, x_new)[0]) > 1e-3
 
 
 def test_gp_predict_tiny_tau2_hits_regression_plane():
@@ -538,7 +563,7 @@ def test_gp_predict_tiny_tau2_hits_regression_plane():
     X = rng.standard_normal((T, K))
     beta = np.array([1.2, -0.7, 0.4])
     x_new = rng.standard_normal(K)
-    mean, var = gp_predict(X, X @ beta, KernelHyper(0.6, 0.4), 1e-8, x_new)
+    mean, var = _predict(X, X @ beta, KernelHyper(0.6, 0.4), 1e-8, x_new)
     assert_allclose(mean, x_new @ beta, rtol=1e-3)
     assert var < 1e-6
 
@@ -549,23 +574,7 @@ def test_gp_predict_large_tau2_matches_unshrunk():
     f = rng.standard_normal(8)
     x_new = rng.standard_normal(2)
     hyp = KernelHyper(0.5, 0.5)
-    m0, v0 = gp_predict(X, f, hyp, None, x_new)
-    m1, v1 = gp_predict(X, f, hyp, 1e10, x_new)
+    m0, v0 = _predict(X, f, hyp, None, x_new)
+    m1, v1 = _predict(X, f, hyp, 1e10, x_new)
     assert_allclose(m1, m0, atol=1e-4)
     assert_allclose(v1, v0, atol=1e-4)
-
-
-def test_gp_predict_accepts_state_and_custom_basis():
-    rng = np.random.default_rng(34)
-    X = rng.standard_normal((9, 2))
-    f = rng.standard_normal(9)
-    x_new = rng.standard_normal(2)
-    basis = rng.standard_normal((9, 3))
-    basis_new = rng.standard_normal(3)
-    hyp = KernelHyper(0.7, 0.6)
-    m1, v1 = gp_predict(X, GpState(f), hyp, 0.5, x_new, basis=basis, basis_new=basis_new)
-    m2, v2 = gp_predict(X, f, hyp, 0.5, x_new, basis=basis, basis_new=basis_new)
-    assert (m1, v1) == (m2, v2)
-    # a different basis changes the shrinkage target
-    m3, _ = gp_predict(X, f, hyp, 0.5, x_new)
-    assert m3 != m1

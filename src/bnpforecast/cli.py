@@ -428,6 +428,24 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _start_fork_server() -> None:
+    """Start the fork server with this package's import root on its
+    PYTHONPATH, then restore the caller's. The server preloads without the
+    caller's ``sys.path`` (Python 3.11's ``forkserver.main`` ignores it), so
+    a package found through an entry added at run time would fail to
+    preload, silently, and every worker would import scipy itself."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, saved) if p)
+    try:
+        multiprocessing.forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
+
+
 def cmd_run(cfg: RunConfig) -> int:
     panel = load_panel(cfg.panel, cfg.sidecar)
     cells = enumerate_cells(panel, cfg)
@@ -453,6 +471,7 @@ def cmd_run(cfg: RunConfig) -> int:
         ctx = multiprocessing.get_context("forkserver")
         ctx.set_forkserver_preload(["bnpforecast.cli", "bnpforecast.model_engine"])
         try:
+            _start_fork_server()
             with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=ctx,
                                      initializer=_init_worker,
                                      initargs=(cfg.panel, cfg.sidecar)) as pool:

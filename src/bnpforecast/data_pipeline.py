@@ -476,8 +476,6 @@ class McmcConfig:
     adapt_window: int = 25
     hyper_step: float = 0.3
     alpha_step: float = 0.5
-    fix_kernel_hyper: bool = False
-    pc_rank: int = PC_BASIS_RANK
 
     def __post_init__(self):
         if not 0 <= self.n_burn < self.n_iter:

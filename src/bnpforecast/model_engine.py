@@ -24,9 +24,11 @@ orthonormal basis U (k <= 29 columns), with beta ~ N(0, M^{-1}) and
 M = U'K^{-1}U. Its A and P are the k x k precisions of beta, M and
 G = M + U'Sigma^{-1}U, so a sweep with a new hyperparameter factors one
 T x T matrix (K at the proposal, then M = W'W with W = L_K^{-1} U) and
-calls no ``dpotri``. The predictive conditional at a new point takes one
-Cholesky of the augmented kernel per distinct retained hyperparameter for
-GP and GPSub; Linear's is the basis projection of f at the origin row.
+calls no ``dpotri``. Each retained draw records the mean block's moments
+at the forecast origin, all that ``predictive_simulate`` reads of it; for
+GP and GPSub these are two triangular solves against the chain's own
+factor of K (``_GpContext.origin_moments``), so nothing is factored
+outside the sweeps.
 """
 from __future__ import annotations
 
@@ -142,12 +144,16 @@ class ChainState:
 
 @dataclass
 class PosteriorDraws:
-    """Retained draws stored columnarly plus per-draw predictive inputs."""
+    """Retained draws stored columnarly plus per-draw predictive inputs;
+    ``origin_mean`` (without the window level) and ``origin_var`` are the
+    mean block's moments at the forecast origin."""
 
     spec: ModelSpec
     window: WindowData
     scalars: dict[str, np.ndarray]
     f: np.ndarray | None
+    origin_mean: np.ndarray
+    origin_var: np.ndarray
     err_weights: list | None
     err_means: list | None
     err_vars: list | None
@@ -176,14 +182,15 @@ class PredictiveDraws:
 # window context: per-window precomputations and per-hyper factor caches
 
 
-def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray | None,
-                  pc_rank: int) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Shrinkage-target basis for the window: the raw predictors, or their
-    leading PC scores for the Large variant and for windows with K >= T."""
+def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Shrinkage-target basis for the window, its origin row and its rank:
+    the raw predictors, or their leading PC scores for the Large variant and
+    for windows with K >= T."""
     T, K = X.shape
     force_pc = spec.dataset is not None and spec.dataset.variant == "Large"
     if force_pc or K >= T:
-        r = min(pc_rank, T - 1, K)
+        r = min(PC_BASIS_RANK, T - 1, K)
         scores, loadings = principal_components(X, r, return_loadings=True)
         b_new = None if x_new is None else np.asarray(x_new, float) @ loadings
         return scores, b_new, r
@@ -194,15 +201,16 @@ def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray | None,
 class _HyperSlot:
     """Factors cached for one kernel hyperparameter.
 
-    GP and GPSub keep K^{-1} and log det K, and GPSub adds the prior
-    precision A at one zeta. ``kinv`` and the cached A carry their values in
-    the lower triangle only: ``dpotri`` fills one triangle, and every
-    consumer (the lower Cholesky factorizations of A and P, and the solves
-    against them) reads that triangle alone, so the upper one is never
-    mirrored. Linear keeps only its coefficient precision M = U'K^{-1}U,
-    as ``prec``.
+    GP and GPSub keep the lower Cholesky factor L of K (for the origin
+    moments), K^{-1} and log det K, and GPSub adds the prior precision A at
+    one zeta. ``kinv`` and the cached A carry their values in the lower
+    triangle only: ``dpotri`` fills one triangle, and every consumer (the
+    lower Cholesky factorizations of A and P, and the solves against them)
+    reads that triangle alone, so the upper one is never mirrored. Linear
+    keeps only its coefficient precision M = U'K^{-1}U, as ``prec``.
     """
 
+    chol: np.ndarray | None
     kinv: np.ndarray | None
     logdet_k: float | None
     zeta: float | None = None
@@ -213,22 +221,22 @@ class _GpContext:
     """Precomputed quantities and factor caches for one estimation window.
 
     ``U`` is the window basis's orthonormal factor for Linear and None
-    otherwise; GPSub keeps the projector Phi0 = U U' and Q = I - Phi0.
+    otherwise; GPSub keeps the projector Phi0 = U U' and Q = I - Phi0. The
+    origin row x_new enters as ``d2_new`` = ||x_t - x_new||^2, GPSub's
+    ``phi_new`` (the last column of the projector onto [B; b_new]) and
+    Linear's ``g`` (the minimum-norm solution of B'g = b_new).
     """
 
-    def __init__(self, spec: ModelSpec, data: WindowData, pc_rank: int = PC_BASIS_RANK,
-                 fix_kernel_hyper: bool = False):
+    def __init__(self, spec: ModelSpec, data: WindowData):
         self.spec = spec
         self.data = data
-        self.fix_kernel_hyper = fix_kernel_hyper
         self.D2 = squared_distances(data.X)
         self.T = data.T
-        self.U = None
-        self.Phi0 = None
-        self.Q = None
-        self.basis_rank = None
+        x_new = np.asarray(data.x_new, dtype=float).ravel()
+        self.d2_new = squared_distances(data.X, x_new)[:, 0]
+        self.U = self.Phi0 = self.Q = self.basis_rank = self.phi_new = self.g = None
         if spec.mean_kind in ("Linear", "GPSub"):
-            B, _, k = _window_basis(spec, data.X, None, pc_rank)
+            B, b_new, k = _window_basis(spec, data.X, x_new)
             Qb, R = qr(B, mode="economic")
             dR = np.abs(np.diag(R))
             if dR.min() <= 1e-10 * max(dR.max(), 1.0):
@@ -237,20 +245,23 @@ class _GpContext:
             self.basis_rank = k
             if spec.mean_kind == "Linear":
                 self.U = Qb
+                self.g = np.linalg.lstsq(B.T, b_new, rcond=None)[0]
             else:
                 self.Phi0 = Qb @ Qb.T
                 self.Q = np.eye(self.T) - self.Phi0
+                Qa = qr(np.vstack([B, b_new]), mode="economic")[0]
+                self.phi_new = Qa @ Qa[-1, :]
         # two-slot kernel cache: current hyper and latest proposal
         self._kp: list[tuple[tuple[float, float], _HyperSlot]] = []
 
     def kernel_pieces(self, hyper: KernelHyper) -> _HyperSlot:
         """The cached factor slot of the Gaussian kernel at this hyperparameter.
 
-        For GP and GPSub a slot holds K^{-1} (lower triangle only; see
-        ``_HyperSlot``), log det K, and once ``_a_pieces`` has asked for
-        them, the prior precision A at one zeta with its Cholesky factor and
-        log det A. For Linear it holds M = W'W with W = L^{-1} U, where L is
-        the Cholesky factor of K, with its factor and log det M. The two
+        For GP and GPSub a slot holds the Cholesky factor L of K, K^{-1}
+        (lower triangle only; see ``_HyperSlot``), log det K, and once
+        ``_a_pieces`` has asked for them, the prior precision A at one zeta
+        with its Cholesky factor and log det A. For Linear it holds
+        M = W'W with W = L^{-1} U, with its factor and log det M. The two
         slots hold the last two hyperparameters asked for, the current one
         and the latest proposal; a hit moves its slot to the back.
         """
@@ -265,15 +276,39 @@ class _GpContext:
             W = dtrtrs(cK, self.U, lower=1)[0]
             M = W.T @ W
             cM = _chol_spd(M, "basis precision")
-            slot = _HyperSlot(None, None, prec=(M, cM, _logdet(cM)))
+            slot = _HyperSlot(None, None, None, prec=(M, cM, _logdet(cM)))
         else:
             logdet_k = 2.0 * float(np.sum(np.log(np.diag(cK))))
-            Kinv, _ = dpotri(cK, lower=1, overwrite_c=1)
-            slot = _HyperSlot(Kinv, logdet_k)
+            Kinv, _ = dpotri(cK, lower=1)
+            slot = _HyperSlot(cK, Kinv, logdet_k)
         self._kp.append((key, slot))
         if len(self._kp) > 2:
             self._kp.pop(0)
         return slot
+
+    def origin_moments(self, hyper: KernelHyper, f: np.ndarray,
+                       zeta: float | None) -> tuple[float, float]:
+        """Mean (without the window level) and variance of f_new given f,
+        at ``hyper`` and zeta = 1/tau^2 (None for GP and Linear).
+
+        Linear: g'f, variance 0. GP and GPSub: with k* = k(X, x_new),
+        w = L^{-1}k*, s = max(xi - w'w, 0) and v = L^{-T}w = K^{-1}k*, the
+        prior precision's column of f_new is [-v; 1]/s + zeta (e - phi_new),
+        so mean = (v'f + s zeta phi_new[:T]'f) / d and var = s / d with
+        d = 1 + s zeta (1 - phi_new[T]), finite as s -> 0. L is the slot
+        the sweep left for ``hyper``, so nothing is factored.
+        """
+        if self.U is not None:
+            return float(self.g @ f), 0.0
+        L = self.kernel_pieces(hyper).chol
+        w = dtrtrs(L, kernel_from_sqdist(self.d2_new, hyper), lower=1)[0]
+        s = max(hyper.xi - float(w @ w), 0.0)
+        mean = float(dtrtrs(L, w, lower=1, trans=1)[0] @ f)
+        if zeta is None:
+            return mean, s
+        c = s * zeta
+        denom = 1.0 + c * (1.0 - float(self.phi_new[-1]))
+        return (mean + c * float(self.phi_new[:-1] @ f)) / denom, s / denom
 
 
 def _chol_spd(M: np.ndarray, what: str):
@@ -378,7 +413,7 @@ def init_state(spec: ModelSpec, data: WindowData, cfg: McmcConfig) -> ChainState
         error = init_error_state(spec.error_kind, y.size, s2)
         state = ChainState(error=error, trend=y.copy(), trend_var=0.1)
     else:
-        B, _, _ = _window_basis(spec, data.X, None, cfg.pc_rank)
+        B, _, _ = _window_basis(spec, data.X)
         s2 = _ols_residual_var(y, B)
         error = init_error_state(spec.error_kind, y.size, s2)
         tau2 = 1.0 if spec.mean_kind == "GPSub" else None
@@ -394,13 +429,12 @@ def init_state(spec: ModelSpec, data: WindowData, cfg: McmcConfig) -> ChainState
 
 
 def uc_trend_update(y: np.ndarray, trend: np.ndarray, error_state: ErrorState,
-                    rng: np.random.Generator, trend_var: float,
-                    prior: tuple[float, float] = UC_TREND_VAR_PRIOR,
-                    init_var: float = UC_PRIOR_INIT_VAR) -> tuple[np.ndarray, float]:
+                    rng: np.random.Generator, trend_var: float) -> tuple[np.ndarray, float]:
     """Random-walk trend FFBS plus the conjugate innovation-variance draw.
 
     Observation y_t = trend_t + e_t with per-t means/variances taken from
-    the error state; trend_1 ~ N(y_1, init_var). The recursions run on
+    the error state; trend_1 ~ N(y_1, UC_PRIOR_INIT_VAR) and sigma2_eta ~
+    InvGamma(UC_TREND_VAR_PRIOR). The recursions run on
     Python floats, which round each operation exactly as numpy's float64
     scalars do.
     """
@@ -411,7 +445,7 @@ def uc_trend_update(y: np.ndarray, trend: np.ndarray, error_state: ErrorState,
     q = max(float(trend_var), 1e-15)
     m = [0.0] * T
     C = [0.0] * T
-    a, R = float(y[0]), float(init_var)
+    a, R = float(y[0]), UC_PRIOR_INIT_VAR
     for t in range(T):
         if t > 0:
             a, R = m[t - 1], C[t - 1] + q
@@ -427,7 +461,7 @@ def uc_trend_update(y: np.ndarray, trend: np.ndarray, error_state: ErrorState,
         mean = var * (m[t] / C[t] + new[t + 1] / q)
         new[t] = mean + math.sqrt(var) * z[t]
     new = np.array(new)
-    a0, b0 = prior
+    a0, b0 = UC_TREND_VAR_PRIOR
     shape = a0 + 0.5 * (T - 1)
     rate = b0 + 0.5 * float(np.sum(np.diff(new) ** 2))
     q_new = float(rate / rng.gamma(shape, 1.0))
@@ -469,26 +503,25 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
         U = ctx.U
         A, _, logdetA = _a_pieces(ctx, state.hyper, zeta)
         cP, logdetP = _p_pieces(A, sigma, U)
-        if not ctx.fix_kernel_hyper:
-            ll_cur = _collapsed_loglik(r, sigma, logdetA, cP, logdetP, U)
-            pending: dict = {}
+        ll_cur = _collapsed_loglik(r, sigma, logdetA, cP, logdetP, U)
+        pending: dict = {}
 
-            def _ll(xi: float, phi: float) -> float:
-                hyp = KernelHyper(xi, phi)
-                try:
-                    A_p, _, ldA_p = _a_pieces(ctx, hyp, zeta)
-                    cP_p, ldP_p = _p_pieces(A_p, sigma, U)
-                except SingularKernelError:
-                    return -np.inf
-                pending[(xi, phi)] = cP_p
-                return _collapsed_loglik(r, sigma, ldA_p, cP_p, ldP_p, U)
+        def _ll(xi: float, phi: float) -> float:
+            hyp = KernelHyper(xi, phi)
+            try:
+                A_p, _, ldA_p = _a_pieces(ctx, hyp, zeta)
+                cP_p, ldP_p = _p_pieces(A_p, sigma, U)
+            except SingularKernelError:
+                return -np.inf
+            pending[(xi, phi)] = cP_p
+            return _collapsed_loglik(r, sigma, ldA_p, cP_p, ldP_p, U)
 
-            new_hyper, accepted, _ = sample_kernel_hyper(
-                state.hyper, _ll, rng, step=state.hyper_step.step, loglik_current=ll_cur)
-            state.hyper_step.update(accepted)
-            if accepted:
-                state.hyper = new_hyper
-                cP = pending[(new_hyper.xi, new_hyper.phi)]
+        new_hyper, accepted, _ = sample_kernel_hyper(
+            state.hyper, _ll, rng, step=state.hyper_step.step, loglik_current=ll_cur)
+        state.hyper_step.update(accepted)
+        if accepted:
+            state.hyper = new_hyper
+            cP = pending[(new_hyper.xi, new_hyper.phi)]
         state.f = _draw_f(r, sigma, cP, rng, U)
         _check_finite(state.f, "mean", state.iteration)
         if spec.mean_kind == "GPSub":
@@ -543,7 +576,7 @@ def _record(spec: ModelSpec, state: ChainState, scalars: dict, i: int) -> None:
         scalars["h_last"][i] = s.error.sv.h[-1]
 
 
-def inefficiency_factor(trace: np.ndarray, taper_frac: float = 0.04) -> float:
+def inefficiency_factor(trace: np.ndarray) -> float:
     """1 + 2 * sum of Bartlett-tapered autocorrelations (4% window)."""
     x = np.asarray(trace, dtype=float)
     n = x.size
@@ -554,7 +587,7 @@ def inefficiency_factor(trace: np.ndarray, taper_frac: float = 0.04) -> float:
         warnings.warn("constant trace; inefficiency factor defined as 1")
         return 1.0
     xc = x - x.mean()
-    L = max(1, int(round(taper_frac * n)))
+    L = max(1, int(round(0.04 * n)))
     denom = float(xc @ xc)
     total = 0.0
     for lag in range(1, L + 1):
@@ -569,14 +602,13 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
     t0 = time.perf_counter()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    ctx = None
-    if spec.mean_kind != "UC":
-        ctx = _GpContext(spec, data, pc_rank=cfg.pc_rank,
-                         fix_kernel_hyper=cfg.fix_kernel_hyper)
+    ctx = None if spec.mean_kind == "UC" else _GpContext(spec, data)
     state = init_state(spec, data, cfg)
     n_ret = cfg.n_retained
     scalars = {name: np.empty(n_ret) for name in _trace_names(spec)}
     f_draws = None if spec.mean_kind == "UC" else np.empty((n_ret, data.T))
+    origin_mean = np.empty(n_ret)
+    origin_var = np.empty(n_ret)
     dpm_kind = spec.error_kind in ("DPM", "DPMSV")
     err_w = [] if dpm_kind else None
     err_m = [] if dpm_kind else None
@@ -591,7 +623,7 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
         prev_hyper = state.hyper
         prev_alpha = None if not dpm_kind else state.error.dpm.alpha
         mcmc_step(spec, data, state, rng, ctx)
-        if spec.mean_kind != "UC" and not cfg.fix_kernel_hyper:
+        if ctx is not None:
             hyper_try += 1
             hyper_acc += state.hyper is not prev_hyper
         if dpm_kind:
@@ -599,8 +631,14 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
             alpha_acc_n += state.error.dpm.alpha != prev_alpha
         if i >= cfg.n_burn and (i - cfg.n_burn) % cfg.thin == 0:
             _record(spec, state, scalars, kept)
-            if f_draws is not None:
+            if ctx is None:
+                origin_mean[kept] = state.trend[-1]
+                origin_var[kept] = data.horizon * state.trend_var
+            else:
                 f_draws[kept] = state.f
+                zeta = None if state.tau2 is None else 1.0 / state.tau2
+                origin_mean[kept], origin_var[kept] = ctx.origin_moments(
+                    state.hyper, state.f, zeta)
             if dpm_kind:
                 err_w.append(state.error.dpm.weights.copy())
                 err_m.append(state.error.dpm.comp_mean.copy())
@@ -616,6 +654,7 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
         accept["alpha"] = alpha_acc_n / alpha_try
     return PosteriorDraws(
         spec=spec, window=data, scalars=scalars, f=f_draws,
+        origin_mean=origin_mean, origin_var=origin_var,
         err_weights=err_w, err_means=err_m, err_vars=err_v,
         ifs=ifs, accept=accept, seed=cfg.seed,
         runtime=time.perf_counter() - t0, n_retained=kept)
@@ -623,49 +662,6 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
 
 # ---------------------------------------------------------------------------
 # prediction
-
-
-class _GpPredictor:
-    """GP and GPSub: conditional (mean, var) of f at the origin row via the
-    precision row.
-
-    The joint precision over (f, f_new) is P_aug = K_aug^{-1}
-    (+ zeta (I - Phi_aug)); conditioning the last coordinate needs only its
-    column, so the kernel Cholesky is cached per distinct hyperparameter
-    pair and the subspace part enters as a fixed projector column.
-    """
-
-    def __init__(self, spec: ModelSpec, data: WindowData, pc_rank: int = PC_BASIS_RANK):
-        X = np.asarray(data.X, dtype=float)
-        x_new = np.asarray(data.x_new, dtype=float).ravel()
-        self.T = X.shape[0]
-        Xa = np.vstack([X, x_new])
-        self.D2a = squared_distances(Xa)
-        self.e_last = np.zeros(self.T + 1)
-        self.e_last[-1] = 1.0
-        self.phi_col = None
-        if spec.mean_kind == "GPSub":
-            B, b_new, _ = _window_basis(spec, X, x_new, pc_rank)
-            Ba = np.vstack([B, b_new])
-            Qa = qr(Ba, mode="economic")[0]
-            self.phi_col = Qa @ Qa[-1, :]
-        self._key = None
-        self._kinv_col = None
-
-    def __call__(self, f: np.ndarray, xi: float, phi: float,
-                 zeta: float | None) -> tuple[float, float]:
-        key = (xi, phi)
-        if key != self._key:
-            Ka = kernel_from_sqdist(self.D2a, KernelHyper(xi, phi))
-            cKa = chol_psd(Ka, what="augmented kernel")
-            self._kinv_col = dpotrs(cKa[0], self.e_last, lower=1)[0]
-            self._key = key
-        col = self._kinv_col
-        if zeta is not None:
-            col = col + zeta * (self.e_last - self.phi_col)
-        prec = max(float(col[-1]), 1e-300)
-        mean = -float(col[:-1] @ f) / prec
-        return mean, max(1.0 / prec, 0.0)
 
 
 def _error_mixture_for_draw(spec: ModelSpec, draws: PosteriorDraws, i: int,
@@ -694,39 +690,18 @@ def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
     """Simulate one outcome draw per retained posterior draw.
 
     Each retained draw contributes y* ~ N(mean + offset, var_f + var_e)
-    with (mean, var_f) from the conditional-mean block and
-    (offset, var_e) from the error block's h-step predictive. Linear's f
-    lies in the span of the window basis B, so its value at the origin row
-    b_new is the basis projection g'f with g = B (B'B)^{-1} b_new, the
-    minimum-norm solution of B'g = b_new, exactly, and var_f = 0. The
-    origin row is the window's ``x_new``.
+    with (mean, var_f) the mean block's moments at the origin that
+    ``run_chain`` recorded, the mean shifted by the window level, and
+    (offset, var_e) from the error block's h-step predictive.
     """
     n = draws.n_retained
     h = draws.window.horizon
-    s = draws.scalars
+    level = draws.window.y_offset
     out = np.empty(n)
     components: list = []
-    predictor = g = None
-    if spec.mean_kind != "UC":
-        data = draws.window
-        if spec.mean_kind == "Linear":
-            B, b_new, _ = _window_basis(spec, data.X, data.x_new, PC_BASIS_RANK)
-            g = np.linalg.lstsq(B.T, b_new.ravel(), rcond=None)[0]
-        else:
-            predictor = _GpPredictor(spec, data)
-    level = draws.window.y_offset
     for i in range(n):
-        if spec.mean_kind == "UC":
-            mean = float(s["trend_last"][i])
-            var_f = h * float(s["trend_var"][i])
-        elif g is not None:
-            mean = float(g @ draws.f[i]) + level
-            var_f = 0.0
-        else:
-            zeta = None if spec.mean_kind == "GP" else 1.0 / float(s["tau2"][i])
-            mean, var_f = predictor(draws.f[i], float(s["xi"][i]),
-                                    float(s["phi"][i]), zeta)
-            mean += level
+        mean = float(draws.origin_mean[i]) + level
+        var_f = float(draws.origin_var[i])
         w, off, ve = _error_mixture_for_draw(spec, draws, i, h, rng)
         j = 0 if w.size == 1 else int(rng.choice(w.size, p=w / w.sum()))
         out[i] = mean + off[j] + math.sqrt(var_f + ve[j]) * rng.standard_normal()
@@ -741,17 +716,17 @@ def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
 # one cell of the expanding-window experiment
 
 
-def make_window(full: RegressionData, panel, dspec: DatasetSpec, origin: int,
-                standardize: bool = True) -> WindowData:
-    """Estimation window ending at origin-h plus the origin's predictor row."""
+def make_window(full: RegressionData, panel, dspec: DatasetSpec, origin: int) -> WindowData:
+    """Estimation window ending at origin-h, its predictors standardized on
+    the window, plus the origin's predictor row on the same scale."""
     h = dspec.horizon
     end = origin - h
-    sub = assemble_regression(panel, dspec, end_date=end, standardize=standardize)
+    sub = assemble_regression(panel, dspec, end_date=end, standardize=True)
     idx = np.searchsorted(full.origin_dates, origin)
     if idx >= len(full.origin_dates) or full.origin_dates[idx] != origin:
         raise ValueError(f"no predictor row at origin {format_quarter(origin)}")
     x_new = full.X[idx].astype(float).copy()
-    if standardize and sub.x_sd is not None:
+    if sub.x_sd is not None:
         x_new = (x_new - sub.x_mean) / sub.x_sd
     offset = float(np.mean(sub.y))
     return WindowData(y=sub.y - offset, X=sub.X, x_new=x_new,

@@ -450,6 +450,33 @@ def test_run_with_killed_worker_writes_manifest(panel_files, tmp_path):
     assert [p for p in helpers if running(p)] == []
 
 
+@needs_proc
+def test_fork_server_preloads_package_found_through_sys_path(panel_files, tmp_path):
+    """A caller that puts ``src`` on ``sys.path`` itself, with no
+    PYTHONPATH: while a cell runs, ``run``'s fork server has imported the
+    engine, so it maps scipy's shared libraries."""
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg.update(models=["UC-SV"], mcmc={"n_iter": 1500, "n_burn": 100})
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(bnpforecast.__file__)))
+    argv = ["run", "--config", _write_config(tmp_path / "c.json", cfg)]
+    code = (f"import sys\nsys.path.insert(0, {src_dir!r})\n"
+            f"from bnpforecast.cli import main\nsys.exit(main({argv!r}))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.Popen([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    deadline = time.monotonic() + 120
+    servers = []
+    while not servers:  # the server of a pool with a live worker
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.02)
+        servers = [h for h in _children(proc.pid) if _children(h)]
+    with open(f"/proc/{servers[0]}/maps") as fh:
+        libs = {line.split()[-1] for line in fh if ".so" in line}
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_OK, err
+    assert any("/scipy" in lib for lib in libs), sorted(libs)
+
+
 def test_failed_cell_logged_grid_continues(panel_files, tmp_path, capsys):
     cfg = _base_config(panel_files, tmp_path / "out")
     cfg["models"] = ["UC-SV"]

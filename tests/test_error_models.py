@@ -752,7 +752,8 @@ def _predictive_mixture(error_kind, scalars, h, rng, weights=None, means=None,
     window = me.WindowData(y=np.zeros(5), X=None, x_new=None, horizon=h)
     draws = me.PosteriorDraws(
         spec=spec, window=window, scalars={k: np.atleast_1d(v) for k, v in scalars.items()},
-        f=None, err_weights=weights, err_means=means, err_vars=variances,
+        f=None, origin_mean=np.zeros(1), origin_var=np.zeros(1),
+        err_weights=weights, err_means=means, err_vars=variances,
         ifs={}, accept={}, seed=0, runtime=0.0, n_retained=1)
     return me._error_mixture_for_draw(spec, draws, 0, h, rng)
 

@@ -106,10 +106,10 @@ def _spec(mean_kind="GPSub", variant="Moderate"):
     return ModelSpec(mean_kind, "Homosk", DatasetSpec(variant, "PRICE", 1, False))
 
 
-def _ctx(X, mean_kind="GPSub", variant="Moderate", pc_rank=PC_BASIS_RANK):
+def _ctx(X, mean_kind="GPSub", variant="Moderate"):
     X = np.asarray(X, dtype=float)
-    data = me.WindowData(y=np.zeros(X.shape[0]), X=X, x_new=None)
-    return me._GpContext(_spec(mean_kind, variant), data, pc_rank=pc_rank)
+    data = me.WindowData(y=np.zeros(X.shape[0]), X=X, x_new=X[0])
+    return me._GpContext(_spec(mean_kind, variant), data)
 
 
 def _svd_projector(X, r):
@@ -157,7 +157,7 @@ def test_projection_switches_to_principal_components():
     # with K >= T the basis becomes leading PC scores, capped at T-1
     rng = np.random.default_rng(5)
     X = rng.standard_normal((5, 9))
-    B, b_new, k = me._window_basis(_spec(), X, None, PC_BASIS_RANK)
+    B, b_new, k = me._window_basis(_spec(), X)
     assert k == 4 and B.shape == (5, 4) and b_new is None
     ctx = _ctx(X)
     assert ctx.basis_rank == 4
@@ -168,10 +168,9 @@ def test_projection_switches_to_principal_components():
 def test_projection_pc_rank_cap():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((30, 40))
-    assert _ctx(X).basis_rank == 6
-    ctx = _ctx(X, pc_rank=2)
-    assert ctx.basis_rank == 2
-    assert_allclose(ctx.Phi0, _svd_projector(X, 2), atol=1e-10)
+    ctx = _ctx(X)
+    assert ctx.basis_rank == PC_BASIS_RANK == 6
+    assert_allclose(ctx.Phi0, _svd_projector(X, 6), atol=1e-10)
 
 
 def test_projection_large_variant_uses_principal_components():
@@ -180,7 +179,7 @@ def test_projection_large_variant_uses_principal_components():
     variants keep the raw predictors."""
     rng = np.random.default_rng(7)
     X = rng.standard_normal((40, 8))
-    B, b_new, k = me._window_basis(_spec(variant="Large"), X, X[3], PC_BASIS_RANK)
+    B, b_new, k = me._window_basis(_spec(variant="Large"), X, X[3])
     assert k == PC_BASIS_RANK and B.shape == (40, k)
     assert_allclose(b_new, B[3], atol=1e-12)
     for mean_kind in ("GPSub", "Linear"):
@@ -188,7 +187,7 @@ def test_projection_large_variant_uses_principal_components():
         assert ctx.basis_rank == k
         Phi0 = ctx.Phi0 if ctx.U is None else ctx.U @ ctx.U.T
         assert_allclose(Phi0, _svd_projector(X, k), atol=1e-10)
-    B, b_new, k = me._window_basis(_spec(variant="Moderate"), X, X[3], PC_BASIS_RANK)
+    B, b_new, k = me._window_basis(_spec(variant="Moderate"), X, X[3])
     assert k == 8 and B is X and np.array_equal(b_new, X[3])
     assert _ctx(X).basis_rank == 8
 
@@ -474,26 +473,28 @@ def test_adaptive_step_reaches_target_band():
 
 
 # ---------------------------------------------------------------------------
-# prediction at the forecast origin (the engine's predictor)
+# prediction at the forecast origin (the mean block's origin moments)
 
 
 def _predict(X, f, hyper, tau2, x_new, variant="Moderate"):
-    """(mean, var) of f at x_new from ``_GpPredictor``: GP without tau2,
-    GPSub with it."""
+    """(mean, var) of f at x_new from the mean block's ``origin_moments``:
+    GP without tau2, GPSub with it."""
     mean_kind = "GP" if tau2 is None else "GPSub"
     data = me.WindowData(y=np.zeros(len(X)), X=X, x_new=x_new, horizon=1)
-    predictor = me._GpPredictor(_spec(mean_kind, variant), data)
-    return predictor(f, hyper.xi, hyper.phi, None if tau2 is None else 1.0 / tau2)
+    ctx = me._GpContext(_spec(mean_kind, variant), data)
+    return ctx.origin_moments(hyper, f, None if tau2 is None else 1.0 / tau2)
 
 
 def _dense_predict(X, f, hyper, tau2, x_new, Ba):
     """Oracle: condition the last coordinate of the (T+1)-point prior
     K1a = (Ka^-1 + (I - Phi_a)/tau2)^-1 on the first T, by plain inverses;
-    Phi_a projects onto the augmented basis Ba."""
+    Phi_a projects onto the augmented basis Ba. tau2 None: K1a = Ka (GP)."""
     T = X.shape[0]
     Ka = dense_kernel(np.vstack([X, x_new]), hyper)
-    Q = qr(Ba, mode="economic")[0]
-    K1a = np.linalg.inv(np.linalg.inv(Ka) + (np.eye(T + 1) - Q @ Q.T) / tau2)
+    K1a = Ka
+    if tau2 is not None:
+        Q = qr(Ba, mode="economic")[0]
+        K1a = np.linalg.inv(np.linalg.inv(Ka) + (np.eye(T + 1) - Q @ Q.T) / tau2)
     mean = K1a[:T, T] @ np.linalg.solve(K1a[:T, :T], f)
     var = K1a[T, T] - K1a[:T, T] @ np.linalg.solve(K1a[:T, :T], K1a[:T, T])
     return mean, var
@@ -578,3 +579,31 @@ def test_gp_predict_large_tau2_matches_unshrunk():
     m1, v1 = _predict(X, f, hyp, 1e10, x_new)
     assert_allclose(m1, m0, atol=1e-4)
     assert_allclose(v1, v0, atol=1e-4)
+
+
+@pytest.mark.filterwarnings("ignore:inefficiency factor on a trace shorter")
+@pytest.mark.parametrize("mean_kind", ["GP", "GPSub"])
+def test_chain_origin_moments_match_dense_oracle(mean_kind):
+    """Each retained draw's recorded origin moments are the dense conditional
+    at that draw's f, hyperparameter and tau^2: the chain reads the slot of
+    the current hyperparameter, not a rejected proposal's, and the tau^2
+    left by the sweep's last move."""
+    rng = np.random.default_rng(41)
+    T = 30
+    X = 2.0 * rng.standard_normal((T, 2))
+    y = np.sin(X[:, 0]) + 0.3 * rng.standard_normal(T)
+    x_new = rng.standard_normal(2)
+    data = me.WindowData(y=y, X=X, x_new=x_new, horizon=1)
+    draws = me.run_chain(_spec(mean_kind), data, me.McmcConfig(n_iter=90, n_burn=30, seed=6))
+    s = draws.scalars
+    moved = np.flatnonzero(np.diff(s["xi"]) != 0.0)
+    assert 0 < moved.size < draws.n_retained - 1  # accepted and rejected proposals
+    if mean_kind == "GPSub":
+        assert np.all(np.diff(s["tau2"]) != 0.0)
+    Ba = np.vstack([X, x_new])
+    for i in range(draws.n_retained):
+        hyper = KernelHyper(s["xi"][i], s["phi"][i])
+        tau2 = s["tau2"][i] if mean_kind == "GPSub" else None
+        mean_o, var_o = _dense_predict(X, draws.f[i], hyper, tau2, x_new, Ba)
+        assert_allclose(draws.origin_mean[i], mean_o, rtol=1e-10, atol=1e-10)
+        assert_allclose(draws.origin_var[i], var_o, rtol=1e-10, atol=1e-10)

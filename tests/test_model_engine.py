@@ -66,7 +66,22 @@ def _linear_fixture(sigma, seed=5, T=200, K=3):
 
 
 def _hand_draws(spec, window, scalars, f, n):
+    """Retained draws set by hand, with the origin moments that
+    ``run_chain`` would record for them: the trend's for UC, the mean
+    block's ``origin_moments`` otherwise."""
+    if spec.mean_kind == "UC":
+        mean = scalars["trend_last"]
+        var = window.horizon * scalars["trend_var"]
+    else:
+        ctx = me._GpContext(spec, window)
+        tau2 = scalars.get("tau2")
+        mean, var = np.empty(n), np.empty(n)
+        for i in range(n):
+            hyper = KernelHyper(scalars["xi"][i], scalars["phi"][i])
+            zeta = None if tau2 is None else 1.0 / tau2[i]
+            mean[i], var[i] = ctx.origin_moments(hyper, f[i], zeta)
     return PosteriorDraws(spec=spec, window=window, scalars=scalars, f=f,
+                          origin_mean=mean, origin_var=var,
                           err_weights=None, err_means=None, err_vars=None,
                           ifs={}, accept={}, seed=0, runtime=0.0, n_retained=n)
 
@@ -567,6 +582,42 @@ def test_sweep_factorization_budget(monkeypatch, mean_kind, budget):
         assert sizes.count(T) == 1 and not potri, (sizes, potri)
     else:
         assert sizes.count(T) == len(sizes) and len(potri) == 1
+
+
+@pytest.mark.filterwarnings(SHORT_TRACE)
+@pytest.mark.parametrize("mean_kind", ["GP", "GPSub"])
+def test_forecast_cell_factors_only_inside_sweeps(monkeypatch, small_panel, mean_kind):
+    """In a whole cell, every factorization and every ``dpotri`` runs inside
+    ``mcmc_step``: the origin moments and the predictive simulation reuse
+    the factors the sweeps left."""
+    depth, calls, outside = [0], [], []
+    orig_step = me.mcmc_step
+
+    def step(*a, **k):
+        depth[0] += 1
+        try:
+            return orig_step(*a, **k)
+        finally:
+            depth[0] -= 1
+
+    def watched(name, orig):
+        def call(*a, **k):
+            calls.append(name)
+            if not depth[0]:
+                outside.append(name)
+            return orig(*a, **k)
+        return call
+
+    monkeypatch.setattr(me, "mcmc_step", step)
+    for name in ("chol_psd", "dpotrf", "dpotri"):
+        monkeypatch.setattr(me, name, watched(name, getattr(me, name)))
+    full = assemble_regression(small_panel, DS_H1, standardize=False)
+    origin = int(full.origin_dates[-5])
+    res = forecast_cell(ModelSpec(mean_kind, "Homosk", DS_H1), small_panel, origin,
+                        McmcConfig(n_iter=60, n_burn=20), full, master_seed=5)
+    assert np.all(np.isfinite(res.draws))
+    assert "chol_psd" in calls and "dpotri" in calls
+    assert outside == []
 
 
 # ---------------------------------------------------------------------------

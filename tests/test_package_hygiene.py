@@ -1,7 +1,10 @@
 """Static checks of the package's modules: no import left behind by a
-deletion, and no ``__all__`` entry naming something that is gone."""
+deletion, no ``__all__`` entry naming something that is gone, and no
+configuration field that no config file can set."""
 
 import ast
+import dataclasses
+import json
 import pathlib
 
 import pytest
@@ -70,3 +73,16 @@ def test_every_export_exists(path):
         available |= {p.stem for p in MODULES}
     missing = [name for name in _dunder_all(tree) if name not in available]
     assert not missing, f"{path.name}: __all__ names {missing} are not defined"
+
+
+def test_config_dataclasses_match_schema():
+    """Every ``McmcConfig`` field but the seed (which ``run`` derives per
+    cell) is a key of the schema's ``mcmc`` object, and every ``RunConfig``
+    field a top-level key, and the reverse: a field no config can reach is
+    an option no run can take."""
+    from bnpforecast.cli import RunConfig
+    from bnpforecast.data_pipeline import McmcConfig
+    schema = json.loads((PACKAGE / "config_schema.json").read_text())
+    mcmc = {f.name for f in dataclasses.fields(McmcConfig)} - {"seed"}
+    assert mcmc == set(schema["properties"]["mcmc"]["properties"])
+    assert {f.name for f in dataclasses.fields(RunConfig)} == set(schema["properties"])

@@ -309,6 +309,7 @@ _WORKER: dict = {}
 def _init_worker(panel_path: str, sidecar_path: str) -> None:
     _WORKER["panel"] = load_panel(panel_path, sidecar_path)
     _WORKER["full"] = {}
+    _WORKER["shown"] = set()
 
 
 def _atomic_write(path: str, write_fn) -> None:
@@ -334,13 +335,25 @@ def exec_cell(task: dict) -> dict:
     counts = Counter((w.category.__name__, str(w.message)) for w in caught)
     rec["warnings"] = [{"category": c, "message": m, "count": n}
                        for (c, m), n in sorted(counts.items())]
-    # Passed on as before, to stderr or to a caller's own filters; under the
-    # default filter, the shared registry shows each distinct warning once.
-    registry: dict = {}
+    # Passed on to stderr or a caller's filters once per worker, unless they show
+    # every occurrence (catch_warnings resets any registry kept across cells).
+    shown = _WORKER["shown"]
     for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
-                               registry=registry)
+        key = (w.category, str(w.message), w.filename, w.lineno)
+        if key not in shown or _filter_action(w) in ("always", "error"):
+            shown.add(key)
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return rec
+
+
+def _filter_action(w: warnings.WarningMessage) -> str:
+    """The action of the first warning filter that matches ``w``, found as
+    ``warnings.warn_explicit`` finds it."""
+    module = w.filename[:-3] if w.filename.lower().endswith(".py") else w.filename
+    return next((action for action, msg, cat, mod, lineno in warnings.filters
+                 if (msg is None or msg.match(str(w.message))) and issubclass(w.category, cat)
+                 and (mod is None or mod.match(module)) and lineno in (0, w.lineno)),
+                warnings.defaultaction)
 
 
 def _estimate_cell(task: dict) -> dict:

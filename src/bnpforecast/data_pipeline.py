@@ -275,10 +275,6 @@ class RegressionData:
     def K(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def realization_dates(self) -> np.ndarray:
-        return self.origin_dates + self.horizon
-
 
 def _selected_names(panel: SeriesPanel, spec: DatasetSpec) -> list[str]:
     flag = {"Moderate": "M", "Large": "L"}[spec.variant]

@@ -23,7 +23,6 @@ __all__ = [
     "TRUNCATION_CAP",
     "DpmState",
     "SvState",
-    "ErrorSpec",
     "ErrorState",
     "DpmPriors",
     "SvPriors",
@@ -40,7 +39,6 @@ __all__ = [
     "sample_homosk_var",
     "sv_update",
     "error_variance_diag",
-    "mixture_density",
     "error_sweep",
     "init_error_state",
 ]
@@ -140,17 +138,6 @@ class SvState:
             raise ValueError("sig2_h must be positive")
 
 
-@dataclass(frozen=True)
-class ErrorSpec:
-    """Which error model applies."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ERROR_KINDS:
-            raise ValueError(f"unknown error kind {self.kind!r}")
-
-
 @dataclass
 class ErrorState:
     """State container for whichever error model is active."""
@@ -162,6 +149,8 @@ class ErrorState:
     sv: SvState | None = None
 
     def validate(self) -> None:
+        if self.kind not in ERROR_KINDS:
+            raise ValueError(f"unknown error kind {self.kind!r}")
         if self.kind == "Homosk":
             if self.sigma2 is None or self.sigma2 <= 0.0:
                 raise ValueError("homoskedastic state requires a positive variance")
@@ -645,15 +634,6 @@ def error_mean_offsets(state: ErrorState, T: int) -> np.ndarray:
     return np.zeros(T)
 
 
-def mixture_density(weights: np.ndarray, means: np.ndarray, variances: np.ndarray,
-                    grid: np.ndarray) -> np.ndarray:
-    """Gaussian-mixture density evaluated on a grid."""
-    g = np.asarray(grid, dtype=float)[:, None]
-    dens = np.exp(-0.5 * (g - means[None, :]) ** 2 / variances[None, :]) \
-        / np.sqrt(2.0 * math.pi * variances[None, :])
-    return dens @ np.asarray(weights, dtype=float)
-
-
 def error_sweep(state: ErrorState, resid: np.ndarray, rng: np.random.Generator,
                 dpm_priors: DpmPriors = DpmPriors(), sv_priors: SvPriors = SvPriors(),
                 alpha_step: float = 0.5) -> tuple[ErrorState, bool | None]:
@@ -691,8 +671,7 @@ def error_sweep(state: ErrorState, resid: np.ndarray, rng: np.random.Generator,
 def init_error_state(kind: str, T: int, resid_var: float,
                      dpm_priors: DpmPriors = DpmPriors()) -> ErrorState:
     """Neutral starting state: one mixture cluster, flat log-volatility."""
-    spec = ErrorSpec(kind)
-    state = ErrorState(kind=spec.kind)
+    state = ErrorState(kind=kind)
     if kind == "Homosk":
         state.sigma2 = resid_var
         state.sigma2_prior = (3.0, 3.0 * resid_var)

@@ -4,9 +4,12 @@ Fits LASSO regressions of model-implied predictive quantiles on the
 standardized predictors, one fit per probability level, with the penalty
 chosen by contiguous-block cross-validation. The objective is
 sum_t (Q_t - beta'x_t)^2 + lambda * sum_j |beta_j| (no 1/(2n) factor), so
-the optimality conditions hold the gradient X'r at lambda/2. Each fit is
-an exact active-set (feature-sign) solve on the Gram matrix, ending in a
-check of those conditions.
+the optimality conditions hold the gradient X'r at lambda/2. The solution
+is piecewise linear in lambda; one exact homotopy pass over the Gram
+matrix gives it at every penalty of a descending grid, so each
+cross-validation fold takes one path and each final fit is the path's
+value at the chosen penalty. Every returned fit passes a check of the
+optimality conditions.
 """
 from __future__ import annotations
 
@@ -28,12 +31,13 @@ __all__ = [
     "fit_quantile_paths",
 ]
 
-MAX_SWEEPS = 1000
+MAX_BREAKPOINTS = 1000
 # KKT certificate: a gradient gap below KKT_RTOL times the largest term that
 # enters the gradient is rounding, not a violation.
 KKT_RTOL = 1e-12
-# Eigenvalues of the support's Gram block below RCOND times the largest are
-# treated as zero: the block is singular (more active columns than rows).
+# A support whose Gram block has eigenvalues below RCOND times the largest
+# is singular. A column whose join rate 1 -/+ b_j is below RCOND lies in the
+# span of the support's: its gradient tracks the bound, so it never joins.
 RCOND = 1e-10
 
 
@@ -75,82 +79,95 @@ class LassoFit:
         return np.flatnonzero(self.beta)
 
 
-def lasso_fit(Qp: np.ndarray, X: np.ndarray, lam: float,
-              beta0: np.ndarray | None = None,
-              max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Exact LASSO by feature-sign active-set search on G = X'X, c = X'Q.
+def _lasso_path(Qp: np.ndarray, X: np.ndarray, halves: np.ndarray,
+                max_breakpoints: int = MAX_BREAKPOINTS) -> np.ndarray:
+    """Exact LASSO coefficients, one row per value mu = lam/2 of the
+    descending ``halves``, from one homotopy pass down the solution path.
 
-    Expects standardized predictor columns and a centered response. At the
-    optimum the gradient g = c - G beta meets the KKT conditions
-    g_j = (lam/2) sign(beta_j) on the support and |g_j| <= lam/2 off it.
-    Each iteration checks them; while the support is optimal it adds the
-    largest violator with the sign of its gradient, then it solves the
-    signed system G_AA beta_A = c_A - (lam/2) theta_A on the support. When
-    a coefficient would change sign on the way, the step stops at its zero
-    and drops it (Lee, Battle, Raina & Ng 2007; Osborne, Presnell & Turlach
-    2000). A singular G_AA has no signed solution; the objective then falls
-    linearly along the null space until a coefficient reaches zero. Every
-    step lowers the objective, so the search cannot cycle. ``beta0`` supplies
-    the starting support and signs (warm start along a penalty grid), and
-    ``max_sweeps`` caps the iterations.
+    Zero for mu >= max|c|. Below, on a segment with support A and signs
+    theta_A, beta_A(mu) = G_AA^-1 (c_A - mu theta_A) and the gradient
+    g = c - G beta is affine in mu. The segment ends at the largest mu' < mu
+    where an off-support |g_j| reaches mu' (j joins with the sign of g_j) or
+    an on-support beta_j reaches 0 (j drops); each requested mu in [mu', mu]
+    is solved on A, so nothing accumulates across segments.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(Qp, dtype=float)
-    n, K = X.shape
-    if y.size != n:
+    if y.size != X.shape[0]:
         raise ValueError("response length must match the predictor rows")
-    if lam < 0.0:
+    if halves.size and halves[-1] < 0.0:
         raise ValueError("penalty must be nonnegative")
     G = X.T @ X
     if np.any(np.diag(G) <= 0.0):
         raise ValueError("zero-variance predictor column; standardize first")
     c = X.T @ y
-    G_abs = np.abs(G)
-    half = 0.5 * lam
-    beta = np.zeros(K) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    theta = np.sign(beta)
-    for _ in range(max_sweeps):
-        g = c - G @ beta
-        # rounding in g grows with the terms it sums; below this it is noise
-        tol = KKT_RTOL * max(float(np.abs(c).max()), float((G_abs @ np.abs(beta)).max()))
+    B = np.zeros((halves.size, c.size))
+    theta = np.zeros(c.size)
+    mu = float(np.abs(c).max())
+    i = int(np.searchsorted(-halves, -mu, side="right"))  # rows i on lie below mu
+    j = int(np.argmax(np.abs(c)))  # the last variable to join or drop
+    theta[j], left, breaks = np.sign(c[j]), 0.0, 0
+    while i < halves.size and breaks < max_breakpoints:  # unfilled rows fail below
+        breaks += 1
         A = np.flatnonzero(theta)
-        r = g[A] - half * theta[A]
-        if not A.size or np.abs(r).max() <= tol:
-            excess = np.where(theta == 0.0, np.abs(g) - half, 0.0)
-            j = int(np.argmax(excess))
-            if excess[j] <= tol:
-                return beta
-            theta[j] = np.sign(g[j])
-            A = np.flatnonzero(theta)
-            r = g[A] - half * theta[A]
-        # beta_A + d solves the signed system when G_AA d = r
         w, V = np.linalg.eigh(G[np.ix_(A, A)])
-        null = w <= RCOND * w[-1]
-        z = V.T @ r
-        if null.any() and np.abs(z[null]).max() > tol:
-            # r has a null-space part: the objective falls without bound
-            # along it while the signs hold, so go to the first zero
-            d = V[:, null] @ z[null]
-            t = np.inf
+        if w[0] <= RCOND * w[-1]:
+            raise RuntimeError(f"singular Gram block on the LASSO support {A.tolist()}")
+        u, v = (V @ ((V.T @ np.column_stack([c[A], theta[A]])) / w[:, None])).T
+        # as mu falls by d, beta_A rises by d v and g falls by d G_:A v: the
+        # slacks mu -/+ g_j close at rate 1 -/+ b_j, theta_j beta_j at -theta_j v_j
+        beta_A = u - mu * v
+        g, b = c - G[:, A] @ beta_A, G[:, A] @ v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(1.0 - b > RCOND, np.maximum(mu - g, 0.0) / (1.0 - b), np.inf)
+            down = np.where(1.0 + b > RCOND, np.maximum(mu + g, 0.0) / (1.0 + b), np.inf)
+            drop = np.where(theta[A] * v < 0.0, np.maximum(theta[A] * beta_A, 0.0)
+                            / np.abs(v), np.inf)
+        # a variable that just joined moves away from zero, and one that just
+        # dropped back inside the bound it left
+        if theta[j]:
+            drop[A == j] = np.inf
         else:
-            d = V[:, ~null] @ (z[~null] / w[~null])
-            t = 1.0
-        toward_zero = theta[A] * d < 0.0
-        if toward_zero.any():
-            cross = -beta[A][toward_zero] / d[toward_zero]
-            k = int(np.argmin(cross))
-            if cross[k] <= t:
-                beta[A] += cross[k] * d
-                drop = A[toward_zero][k]
-                beta[drop] = theta[drop] = 0.0
-                continue
-        if t == np.inf:  # no zero ahead: only rounding can get here
-            break
-        beta[A] += d
-    g = c - G @ beta
-    raise RuntimeError(
-        f"active-set LASSO failed to converge in {max_sweeps} iterations "
-        f"(SSR {float(np.sum((y - X @ beta) ** 2)):.6g}, max |gradient| {float(np.abs(g).max()):.6g})")
+            (up if left > 0.0 else down)[j] = np.inf
+        join = np.minimum(up, down)
+        join[A] = np.inf
+        k_join, k_drop = int(np.argmin(join)), int(np.argmin(drop))
+        mu = max(mu - min(join[k_join], drop[k_drop]), 0.0)
+        k = int(np.searchsorted(-halves, -mu, side="right"))
+        R = c[A, None] - theta[A, None] * halves[i:k]
+        B[i:k, A] = (V @ ((V.T @ R) / w[:, None])).T
+        i = k
+        if drop[k_drop] <= join[k_join]:
+            j = int(A[k_drop])
+            left, theta[j] = theta[j], 0.0
+        else:
+            j = k_join
+            theta[j] = 1.0 if up[j] <= down[j] else -1.0
+    # KKT certificate; rounding in g grows with the terms it sums
+    grad = c - B @ G
+    tol = KKT_RTOL * np.maximum(np.abs(c).max(), (np.abs(B) @ np.abs(G)).max(axis=1))
+    gap = np.where(B != 0.0, np.abs(grad - halves[:, None] * np.sign(B)),
+                   np.abs(grad) - halves[:, None]).max(axis=1)
+    if np.any(gap > tol):
+        k = int(np.argmax(gap > tol))
+        resid = y - X @ B[k]
+        raise RuntimeError(
+            f"LASSO path fails the optimality conditions at lambda {2.0 * halves[k]:.6g} "
+            f"after {breaks} breakpoints (SSR {float(resid @ resid):.6g}, "
+            f"max |gradient| {float(np.abs(X.T @ resid).max()):.6g})")
+    return B
+
+
+def lasso_fit(Qp: np.ndarray, X: np.ndarray, lam: float,
+              max_breakpoints: int = MAX_BREAKPOINTS) -> np.ndarray:
+    """Exact LASSO at one penalty: the value at lam/2 of ``_lasso_path``, the
+    homotopy (Osborne, Presnell & Turlach 2000; Efron, Hastie, Johnstone &
+    Tibshirani 2004) from the all-zero threshold through at most
+    ``max_breakpoints`` support changes. For standardized predictors and a
+    centered response; the result meets the KKT conditions on
+    g = X'(Q - X beta), g_j = (lam/2) sign(beta_j) on the support and
+    |g_j| <= lam/2 off it, to rounding, or the path raises."""
+    return _lasso_path(Qp, X, np.array([0.5 * lam]), max_breakpoints)[0]
 
 
 def default_lambda_grid(Qp: np.ndarray, X: np.ndarray, n_points: int = 50,
@@ -177,7 +194,7 @@ def cross_validate(Qp: np.ndarray, X: np.ndarray, lambda_grid: np.ndarray,
     n = y.size
     blocks = np.array_split(np.arange(n), folds)
     errors = np.zeros(grid.size)
-    counts = np.zeros(grid.size)
+    count = 0
     for block in blocks:
         if block.size == 0:
             continue
@@ -188,16 +205,13 @@ def cross_validate(Qp: np.ndarray, X: np.ndarray, lambda_grid: np.ndarray,
             warnings.warn("constant response in a training fold; fold skipped")
             continue
         center = float(y_tr.mean())
-        y_tr = y_tr - center
-        beta = None
-        for g, lam in enumerate(grid):
-            beta = lasso_fit(y_tr, X_tr, lam, beta0=beta)
-            pred = X[block] @ beta + center
-            errors[g] += float(np.sum((y[block] - pred) ** 2))
-            counts[g] += block.size
-    if not counts.any():
+        B = _lasso_path(y_tr - center, X_tr, 0.5 * grid)
+        resid = y[block, None] - (X[block] @ B.T + center)
+        errors += np.einsum("ij,ij->j", resid, resid)
+        count += block.size
+    if not count:
         raise ValueError("all cross-validation folds degenerate")
-    mean_err = errors / counts
+    mean_err = errors / count
     best = np.flatnonzero(mean_err == mean_err.min())
     return float(grid[best[0]])  # grid is descending, so ties pick the largest
 

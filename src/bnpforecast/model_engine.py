@@ -151,7 +151,6 @@ class PosteriorDraws:
     spec: ModelSpec
     window: WindowData
     scalars: dict[str, np.ndarray]
-    f: np.ndarray | None
     origin_mean: np.ndarray
     origin_var: np.ndarray
     err_weights: list | None
@@ -606,7 +605,6 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
     state = init_state(spec, data, cfg)
     n_ret = cfg.n_retained
     scalars = {name: np.empty(n_ret) for name in _trace_names(spec)}
-    f_draws = None if spec.mean_kind == "UC" else np.empty((n_ret, data.T))
     origin_mean = np.empty(n_ret)
     origin_var = np.empty(n_ret)
     dpm_kind = spec.error_kind in ("DPM", "DPMSV")
@@ -635,7 +633,6 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
                 origin_mean[kept] = state.trend[-1]
                 origin_var[kept] = data.horizon * state.trend_var
             else:
-                f_draws[kept] = state.f
                 zeta = None if state.tau2 is None else 1.0 / state.tau2
                 origin_mean[kept], origin_var[kept] = ctx.origin_moments(
                     state.hyper, state.f, zeta)
@@ -653,7 +650,7 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
     if alpha_try:
         accept["alpha"] = alpha_acc_n / alpha_try
     return PosteriorDraws(
-        spec=spec, window=data, scalars=scalars, f=f_draws,
+        spec=spec, window=data, scalars=scalars,
         origin_mean=origin_mean, origin_var=origin_var,
         err_weights=err_w, err_means=err_m, err_vars=err_v,
         ifs=ifs, accept=accept, seed=cfg.seed,

@@ -1,4 +1,5 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,6 +67,31 @@ class UnitRng:
         z = np.zeros(n)
         z[self.i] = 1.0
         return z
+
+
+def mixture_density(weights, means, variances, grid):
+    """Gaussian-mixture density evaluated on a grid."""
+    g = np.asarray(grid, dtype=float)[:, None]
+    dens = np.exp(-0.5 * (g - means[None, :]) ** 2 / variances[None, :]) \
+        / np.sqrt(2.0 * np.pi * variances[None, :])
+    return dens @ np.asarray(weights, dtype=float)
+
+
+def run_chain_recording_f(spec, data, cfg):
+    """``run_chain``'s draws and the f of each retained draw, read from the
+    state after each ``mcmc_step``; the chain itself keeps only the origin
+    moments of f."""
+    seen = []
+    step = me.mcmc_step
+
+    def recording_step(spec, data, state, rng, ctx=None):
+        out = step(spec, data, state, rng, ctx)
+        seen.append(state.f.copy())
+        return out
+
+    with mock.patch.object(me, "mcmc_step", recording_step):
+        draws = me.run_chain(spec, data, cfg)
+    return draws, np.array(seen[cfg.n_burn::cfg.thin])
 
 
 def engine_conditional(mean_kind, X, r, sigma, hyper, zeta=None):

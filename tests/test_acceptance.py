@@ -21,7 +21,6 @@ from bnpforecast import cli
 from bnpforecast.error_models import (
     error_sweep,
     init_error_state,
-    mixture_density,
     sv_update,
 )
 from bnpforecast.evaluation import (
@@ -130,7 +129,7 @@ def test_criterion_3_mixture_density_recovery():
                 d = state.dpm
                 occupied.append(np.unique(d.alloc).size)
                 if it % 3 == 0:
-                    dens += mixture_density(d.weights, d.comp_mean, d.comp_var, grid)
+                    dens += conftest.mixture_density(d.weights, d.comp_mean, d.comp_var, grid)
                     kept += 1
         dens /= kept
         truth = (0.6 * stats.norm.pdf(grid, -1.0, 0.5)

@@ -226,6 +226,28 @@ def test_manifest_counts_cell_warnings(experiment, panel_files, tmp_path):
             "message": "inefficiency factor on a trace shorter than 100 draws"}]
 
 
+def test_worker_shows_each_warning_once(panel_files, tmp_path):
+    """Under the default filters, a warning every cell raises reaches
+    ``run``'s stderr at most once per worker, while the manifest still
+    counts it in every cell."""
+    message = "inefficiency factor on a trace shorter than 100 draws"
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg.update(mcmc={"n_iter": 80, "n_burn": 20}, workers=2)
+    cmd, env = _entry_point()
+    env = {k: v for k, v in (env or os.environ).items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run(cmd + ["run", "--config", _write_config(tmp_path / "c.json", cfg)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert 1 <= proc.stderr.count(f"UserWarning: {message}") <= 2
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        cells = json.load(fh)["cells"]
+    assert len(cells) == 8
+    for c in cells:
+        with open(tmp_path / "out" / "cells" / (c["cell"] + ".json")) as fh:
+            n_ifs = len(json.load(fh)["ifs"])
+        assert c["warnings"] == [{"category": "UserWarning", "count": n_ifs, "message": message}]
+
+
 def test_rerun_skips_completed_cells(experiment, tmp_path, capsys):
     src = experiment["out_dir"]
     out2 = tmp_path / "copy"

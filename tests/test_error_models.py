@@ -19,7 +19,6 @@ from bnpforecast.error_models import (
     TRUNCATION_CAP,
     DpmPriors,
     DpmState,
-    ErrorSpec,
     ErrorState,
     SvPriors,
     SvState,
@@ -34,7 +33,6 @@ from bnpforecast.error_models import (
     error_sweep,
     error_variance_diag,
     init_error_state,
-    mixture_density,
     sample_alpha,
     sample_component_means,
     sample_component_vars,
@@ -48,6 +46,8 @@ from bnpforecast.error_models import (
     truncation_level,
     update_truncation,
 )
+
+from conftest import mixture_density
 
 
 def _iact(x, L=200):
@@ -752,7 +752,7 @@ def _predictive_mixture(error_kind, scalars, h, rng, weights=None, means=None,
     window = me.WindowData(y=np.zeros(5), X=None, x_new=None, horizon=h)
     draws = me.PosteriorDraws(
         spec=spec, window=window, scalars={k: np.atleast_1d(v) for k, v in scalars.items()},
-        f=None, origin_mean=np.zeros(1), origin_var=np.zeros(1),
+        origin_mean=np.zeros(1), origin_var=np.zeros(1),
         err_weights=weights, err_means=means, err_vars=variances,
         ifs={}, accept={}, seed=0, runtime=0.0, n_retained=1)
     return me._error_mixture_for_draw(spec, draws, 0, h, rng)
@@ -921,7 +921,7 @@ def test_init_error_state_defaults():
 
 def test_error_state_validation():
     with pytest.raises(ValueError, match="unknown error kind"):
-        ErrorSpec("garch")
+        ErrorState(kind="garch").validate()
     with pytest.raises(ValueError, match="positive variance"):
         ErrorState(kind="Homosk", sigma2=-1.0).validate()
     with pytest.raises(ValueError, match="mixture state"):

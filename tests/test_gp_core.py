@@ -23,7 +23,7 @@ from bnpforecast.gp_core import (
     sample_tau2,
     squared_distances,
 )
-from conftest import dense_kernel, engine_conditional
+from conftest import dense_kernel, engine_conditional, run_chain_recording_f
 
 
 def _kernel(X, hyper):
@@ -594,7 +594,8 @@ def test_chain_origin_moments_match_dense_oracle(mean_kind):
     y = np.sin(X[:, 0]) + 0.3 * rng.standard_normal(T)
     x_new = rng.standard_normal(2)
     data = me.WindowData(y=y, X=X, x_new=x_new, horizon=1)
-    draws = me.run_chain(_spec(mean_kind), data, me.McmcConfig(n_iter=90, n_burn=30, seed=6))
+    draws, f = run_chain_recording_f(_spec(mean_kind), data,
+                                     me.McmcConfig(n_iter=90, n_burn=30, seed=6))
     s = draws.scalars
     moved = np.flatnonzero(np.diff(s["xi"]) != 0.0)
     assert 0 < moved.size < draws.n_retained - 1  # accepted and rejected proposals
@@ -604,6 +605,6 @@ def test_chain_origin_moments_match_dense_oracle(mean_kind):
     for i in range(draws.n_retained):
         hyper = KernelHyper(s["xi"][i], s["phi"][i])
         tau2 = s["tau2"][i] if mean_kind == "GPSub" else None
-        mean_o, var_o = _dense_predict(X, draws.f[i], hyper, tau2, x_new, Ba)
+        mean_o, var_o = _dense_predict(X, f[i], hyper, tau2, x_new, Ba)
         assert_allclose(draws.origin_mean[i], mean_o, rtol=1e-10, atol=1e-10)
         assert_allclose(draws.origin_var[i], var_o, rtol=1e-10, atol=1e-10)

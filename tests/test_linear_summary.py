@@ -1,4 +1,4 @@
-"""Penalized linear summaries: active-set LASSO, block CV, fit statistics."""
+"""Penalized linear summaries: LASSO homotopy path, block CV, fit statistics."""
 
 import warnings
 
@@ -92,7 +92,7 @@ def test_lasso_fit_container():
 
 
 # ---------------------------------------------------------------------------
-# active-set solver
+# homotopy path
 
 
 def test_unpenalized_fit_equals_least_squares():
@@ -135,33 +135,63 @@ def test_kkt_conditions_hold_exactly(sparse_problem):
     assert np.all(np.abs(grad[inactive]) <= lam / 2 + 1e-10)
 
 
-def test_warm_start_at_the_solution_is_certified_at_once(sparse_problem):
-    """A warm start that is already optimal passes the KKT check in the
-    first iteration and comes back unchanged."""
-    X, y, _ = sparse_problem
-    beta = lasso_fit(y, X, 30.0)
-    assert np.array_equal(lasso_fit(y, X, 30.0, beta0=beta, max_sweeps=1), beta)
-    with pytest.raises(RuntimeError, match="SSR"):
-        lasso_fit(y, X, 30.0, max_sweeps=1)
-
-
 def test_matches_coordinate_descent_along_warm_grid(sparse_problem):
-    """Along the 50-point grid, each fit warm-started from the previous one
-    as cross_validate does, the active-set solution agrees with the
-    reference coordinate descent run the same way."""
+    """Every point of one path over the 50-point grid agrees with the
+    reference coordinate descent, warm-started along the same grid."""
     X, y, _ = sparse_problem
-    beta = ref = None
-    for lam in default_lambda_grid(y, X):
-        beta = lasso_fit(y, X, lam, beta0=beta)
+    grid = default_lambda_grid(y, X)
+    path = linear_summary._lasso_path(y, X, 0.5 * grid)
+    ref = None
+    for lam, beta in zip(grid, path):
         ref = _coordinate_descent(y, X, lam, beta0=ref)
         assert np.max(np.abs(beta - ref)) < 1e-6
 
 
+def _assert_certified(y, X, lams, path):
+    """Each point of a path meets the optimality conditions to 1e-10 of the
+    all-zero threshold, on a support no larger than the design's rank."""
+    lam_max = 2.0 * float(np.abs(X.T @ y).max())
+    rank = np.linalg.matrix_rank(X)
+    for lam, beta in zip(lams, path):
+        assert _kkt_gap(y, X, lam, beta) <= 1e-10 * lam_max
+        assert np.count_nonzero(beta) <= rank
+
+
+def _record_paths(monkeypatch):
+    """Wrap the path and the fit entry points: every path's inputs and
+    output, the number of paths each cross_validate call builds, and every
+    lasso_fit call."""
+    paths, per_cv, fits = [], [], []
+    real_path = linear_summary._lasso_path
+    real_cv = linear_summary.cross_validate
+    real_fit = linear_summary.lasso_fit
+
+    def recording_path(Qp, X, halves, *args):
+        out = real_path(Qp, X, halves, *args)
+        paths.append((Qp, X, 2.0 * halves, out))
+        return out
+
+    def counting_cv(*args, **kwargs):
+        before = len(paths)
+        lam = real_cv(*args, **kwargs)
+        per_cv.append(len(paths) - before)
+        return lam
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(linear_summary, "_lasso_path", recording_path)
+    monkeypatch.setattr(linear_summary, "cross_validate", counting_cv)
+    monkeypatch.setattr(linear_summary, "lasso_fit", counting_fit)
+    return paths, per_cv, fits
+
+
 def test_wide_design_fits_meet_kkt(panel, monkeypatch):
     """Eight origins against the 29 Moderate predictors, as summarize-lasso
-    sees a short evaluation window: every fit of the cross-validation and
+    sees a short evaluation window: every point of every fold's path and
     the final fits meet the optimality conditions to rounding. Training
-    folds have 6 or 7 rows, so supports reach singular Gram blocks."""
+    folds have 6 or 7 rows, so supports reach the rank of the design."""
     data = assemble_regression(panel, DatasetSpec("Moderate", "PRICE", 1))
     n = 8
     X_raw = data.X[-n:]
@@ -169,21 +199,68 @@ def test_wide_design_fits_meet_kkt(panel, monkeypatch):
     rng = np.random.default_rng(0)
     offsets = np.array([-1.6, -0.8, 0.0, 0.8, 1.6])
     Q = np.sort(data.y[-n:, None] + offsets + 0.3 * rng.standard_normal((n, 5)), axis=1)
-    calls = []
-    real_fit = linear_summary.lasso_fit
-
-    def recording_fit(Qp, X, lam, beta0=None):
-        beta = real_fit(Qp, X, lam, beta0=beta0)
-        calls.append((Qp, X, lam, beta))
-        return beta
-
-    monkeypatch.setattr(linear_summary, "lasso_fit", recording_fit)
+    paths, per_cv, fits = _record_paths(monkeypatch)
     fit_quantile_paths(QuantilePathSet(dates=np.arange(n), Q=Q), X_raw)
-    assert len(calls) == 5 * (5 * 50 + 1)
-    for Qp, X, lam, beta in calls:
-        lam_max = 2.0 * float(np.abs(X.T @ Qp).max())
-        assert _kkt_gap(Qp, X, lam, beta) <= 1e-10 * lam_max
-        assert np.count_nonzero(beta) <= np.linalg.matrix_rank(X)
+    assert per_cv == [5] * 5
+    assert len(fits) == 5
+    assert len(paths) == 5 * 5 + 5
+    assert sum(len(lams) for _, _, lams, _ in paths) == 5 * (5 * 50 + 1)
+    for Qp, X, lams, path in paths:
+        _assert_certified(Qp, X, lams, path)
+
+
+@pytest.mark.parametrize("n", [8, 12, 20])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_random_wide_designs_meet_kkt(n, seed):
+    """Random designs with fewer rows than the 29 predictors, some columns
+    strongly correlated: every point of each fold's path and of the full
+    path meets the optimality conditions to 1e-10 of the threshold."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 29))
+    X[:, 1::3] = X[:, ::3] + 0.2 * rng.standard_normal((n, 10))
+    X = _standardize(X)
+    y = X[:, :4] @ np.array([1.0, -0.6, 0.4, 0.2]) + 0.5 * rng.standard_normal(n)
+    y -= y.mean()
+    grid = default_lambda_grid(y, X)
+    _assert_certified(y, X, grid, linear_summary._lasso_path(y, X, 0.5 * grid))
+    for block in np.array_split(np.arange(n), 5):
+        mask = np.ones(n, dtype=bool)
+        mask[block] = False
+        y_tr = y[mask] - y[mask].mean()
+        _assert_certified(y_tr, X[mask], grid,
+                          linear_summary._lasso_path(y_tr, X[mask], 0.5 * grid))
+
+
+@pytest.mark.parametrize("n", [20, 60])
+def test_correlated_designs_meet_kkt(n):
+    """Twelve predictors in six pairs with correlation near 0.99, where
+    variables drop and join again, sometimes with the other sign: every
+    point of the path meets the optimality conditions."""
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 12))
+        X[:, 1::2] = X[:, ::2] + 0.1 * rng.standard_normal((n, 6))
+        X = _standardize(X)
+        y = X[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
+        y -= y.mean()
+        grid = default_lambda_grid(y, X)
+        _assert_certified(y, X, grid, linear_summary._lasso_path(y, X, 0.5 * grid))
+
+
+def test_collinear_predictors_stay_off_the_support():
+    """With one column duplicated and one the sum of two others, a column in
+    the span of the support has its gradient on the bound and never joins:
+    every point of the path meets the optimality conditions on a support
+    no larger than the rank, with no singular Gram block."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((30, 6))
+    X[:, 3] = X[:, 1]
+    X[:, 5] = X[:, 0] + X[:, 2]
+    X = _standardize(X)
+    y = X @ rng.standard_normal(6) + rng.standard_normal(30)
+    y -= y.mean()
+    grid = default_lambda_grid(y, X)
+    _assert_certified(y, X, grid, linear_summary._lasso_path(y, X, 0.5 * grid))
 
 
 def test_solution_path_is_continuous(sparse_problem):
@@ -203,8 +280,8 @@ def test_nonconvergence_raises_with_diagnostics():
     X[:, 1] = X[:, 0] + 0.01 * rng.standard_normal(60)
     y = X[:, 0] * 2.0 + 0.1 * rng.standard_normal(60)
     y -= y.mean()
-    with pytest.raises(RuntimeError, match="SSR"):
-        lasso_fit(y, X, 0.001, max_sweeps=3)
+    with pytest.raises(RuntimeError, match="after 3 breakpoints .SSR"):
+        lasso_fit(y, X, 0.001, max_breakpoints=3)
 
 
 def test_lasso_fit_input_validation(sparse_problem):

@@ -46,7 +46,7 @@ from bnpforecast.model_engine import (
     uc_trend_update,
 )
 from bnpforecast.synthetic import synthetic_panel
-from conftest import UnitRng, ZeroRng, dense_kernel, engine_conditional
+from conftest import UnitRng, ZeroRng, dense_kernel, engine_conditional, run_chain_recording_f
 
 DS_H1 = DatasetSpec(variant="Moderate", target_series="PRICE", horizon=1,
                     include_expectations=False)
@@ -80,7 +80,7 @@ def _hand_draws(spec, window, scalars, f, n):
             hyper = KernelHyper(scalars["xi"][i], scalars["phi"][i])
             zeta = None if tau2 is None else 1.0 / tau2[i]
             mean[i], var[i] = ctx.origin_moments(hyper, f[i], zeta)
-    return PosteriorDraws(spec=spec, window=window, scalars=scalars, f=f,
+    return PosteriorDraws(spec=spec, window=window, scalars=scalars,
                           origin_mean=mean, origin_var=var,
                           err_weights=None, err_means=None, err_vars=None,
                           ifs={}, accept={}, seed=0, runtime=0.0, n_retained=n)
@@ -298,9 +298,9 @@ def test_linear_chain_matches_projection_fit_at_high_snr():
     prior and the posterior mean fit lands on the least-squares projection."""
     X, y, ols_fit = _linear_fixture(sigma=0.02)
     data = WindowData(y=y, X=X, x_new=np.zeros(3), horizon=1)
-    draws = run_chain(ModelSpec("Linear", "Homosk", DS_H1), data,
-                      McmcConfig(n_iter=2500, n_burn=1000, seed=11))
-    dev = np.max(np.abs(draws.f.mean(axis=0) - ols_fit))
+    _, f = run_chain_recording_f(ModelSpec("Linear", "Homosk", DS_H1), data,
+                                 McmcConfig(n_iter=2500, n_burn=1000, seed=11))
+    dev = np.max(np.abs(f.mean(axis=0) - ols_fit))
     assert dev < 1e-3 * np.max(np.abs(ols_fit))
 
 
@@ -309,9 +309,9 @@ def test_linear_chain_shrinks_toward_projection_fit_at_unit_noise():
     fit is a shrunk but near-perfectly-correlated copy of the projection."""
     X, y, ols_fit = _linear_fixture(sigma=1.0)
     data = WindowData(y=y, X=X, x_new=np.zeros(3), horizon=1)
-    draws = run_chain(ModelSpec("Linear", "Homosk", DS_H1), data,
-                      McmcConfig(n_iter=2500, n_burn=1000, seed=11))
-    fmean = draws.f.mean(axis=0)
+    _, f = run_chain_recording_f(ModelSpec("Linear", "Homosk", DS_H1), data,
+                                 McmcConfig(n_iter=2500, n_burn=1000, seed=11))
+    fmean = f.mean(axis=0)
     assert np.corrcoef(fmean, ols_fit)[0, 1] > 0.999
     slope = np.polyfit(ols_fit, fmean, 1)[0]
     assert 0.5 < slope < 1.0
@@ -634,9 +634,10 @@ def test_run_chain_deterministic_given_seed():
     for mid in ("Linear-DPM", "GPSub-SV"):
         mean_kind, error_kind = mid.split("-", 1)
         spec = ModelSpec(mean_kind, error_kind, DS_H1)
-        a = run_chain(spec, data, cfg)
-        b = run_chain(spec, data, cfg)
-        assert np.array_equal(a.f, b.f)
+        a, fa = run_chain_recording_f(spec, data, cfg)
+        b, fb = run_chain_recording_f(spec, data, cfg)
+        assert np.array_equal(fa, fb)
+        assert np.array_equal(a.origin_mean, b.origin_mean)
         for name in a.scalars:
             assert np.array_equal(a.scalars[name], b.scalars[name])
         if a.err_weights is not None:
@@ -651,9 +652,10 @@ def test_run_chain_single_retained_draw():
     y = rng.standard_normal(50)
     data = WindowData(y=y, X=X, x_new=np.zeros(2), horizon=1)
     cfg = McmcConfig(n_iter=40, n_burn=39, seed=1)
-    draws = run_chain(ModelSpec("GP", "Homosk", DS_H1), data, cfg)
+    draws, f = run_chain_recording_f(ModelSpec("GP", "Homosk", DS_H1), data, cfg)
     assert draws.n_retained == 1
-    assert draws.f.shape == (1, 50)
+    assert f.shape == (1, 50)
+    assert draws.origin_mean.shape == draws.origin_var.shape == (1,)
     assert all(v.size == 1 for v in draws.scalars.values())
 
 

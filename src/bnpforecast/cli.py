@@ -16,13 +16,17 @@ master seed, results are byte-identical for any worker count. ``run``
 stops the server and waits for it, so its resource usage covers the
 workers and nothing outlives it.
 
-Only the server and its workers import the samplers (``model_engine``,
-``gp_core``, ``error_models``) and scipy, which would cost every other
-command, and ``run``'s own process, most of its start-up time;
-``jsonschema`` is imported only when a config is read. So
-``forecast_cell`` is a forwarder that imports the engine when called, and
-cells reach it through this module's global, which callers may wrap.
-Warnings raised in a cell are counted in its manifest entry.
+Each command imports only what it uses. Only the server and its workers
+import the samplers (``model_engine``, ``gp_core``, ``error_models``) and
+scipy, which would cost every other command, and ``run``'s own process,
+most of its start-up time. So ``forecast_cell`` is a forwarder that
+imports the engine when called, and cells reach it through this module's
+global, which callers may wrap. Only ``run`` imports ``multiprocessing``
+and ``concurrent.futures``, and only ``summarize-lasso`` imports
+``linear_summary``. A config is checked against ``config_schema.json`` by
+``schema_violation``, which reads just the keywords that schema uses, so
+no command needs a JSON Schema library. Warnings raised in a cell are
+counted in its manifest entry.
 """
 from __future__ import annotations
 
@@ -36,14 +40,10 @@ import argparse
 import csv
 import importlib.resources
 import json
-import multiprocessing
-import multiprocessing.forkserver
 import sys
 import traceback
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +79,6 @@ from .evaluation import (
     write_relative_table_csv,
     write_scores_csv,
 )
-from .linear_summary import QuantilePathSet, fit_quantile_paths
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -167,6 +166,74 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+# The JSON Schema keywords schema_violation reads; "$schema", "title" and
+# "description" are annotations, and "additionalProperties" may only be false.
+_SCHEMA_KEYWORDS = frozenset({
+    "$schema", "title", "description", "type", "enum", "minimum", "exclusiveMinimum",
+    "minItems", "uniqueItems", "items", "required", "properties", "additionalProperties"})
+_JSON_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def _json_key(v):
+    """A hashable key under which two values are equal exactly when they are
+    equal as JSON: 1 and 1.0 are, true and 1 are not."""
+    if isinstance(v, list):
+        return "array", tuple(map(_json_key, v))
+    if isinstance(v, dict):
+        return "object", tuple(sorted((k, _json_key(x)) for k, x in v.items()))
+    return ("number" if _JSON_TYPES["number"](v) else type(v).__name__), v
+
+
+def schema_violation(value, schema: dict, path: str = ""):
+    """The first violation of ``schema`` by ``value``, as (JSON-pointer path,
+    message), or None. Reads the keywords in ``_SCHEMA_KEYWORDS``; an
+    ``integer`` is an int and not a bool, so 5.0 is not one. Of several
+    violations it returns the one whose path sorts first."""
+    types = schema.get("type")
+    if types is not None:
+        types = [types] if isinstance(types, str) else types
+        if not any(_JSON_TYPES[t](value) for t in types):
+            return path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+    if "enum" in schema and _json_key(value) not in map(_json_key, schema["enum"]):
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    children = []
+    if _JSON_TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return path, (f"{value!r} is less than or equal to the minimum of "
+                          f"{schema['exclusiveMinimum']!r}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} is too short"
+        if schema.get("uniqueItems") and len(set(map(_json_key, value))) < len(value):
+            return path, f"{value!r} has non-unique elements"
+        if "items" in schema:
+            children = [(str(i), v, schema["items"]) for i, v in enumerate(value)]
+    elif isinstance(value, dict):
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        if missing:
+            return path, f"{missing[0]!r} is a required property"
+        props = schema.get("properties", {})
+        extra = sorted(k for k in value if k not in props)
+        if extra and schema.get("additionalProperties") is False:
+            return path, f"additional properties are not allowed ({', '.join(map(repr, extra))})"
+        children = [(k, value[k], props[k]) for k in sorted(value) if k in props]
+    for key, item, sub in children:
+        found = schema_violation(item, sub, f"{path}/{key}")
+        if found:
+            return found
+    return None
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read and override a JSON config, schema-check it, and fill defaults."""
     try:
@@ -178,13 +245,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if isinstance(raw, dict) and overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    import jsonschema
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise ConfigError(f"config schema violation at {where or '/'}: {err.message}")
+    violation = schema_violation(raw, _schema())
+    if violation:
+        where, message = violation
+        raise ConfigError(f"config schema violation at {where or '/'}: {message}")
     merged = dict(_DEFAULTS)
     merged.update(raw)
     try:
@@ -447,6 +511,7 @@ def _start_fork_server() -> None:
     caller's ``sys.path`` (Python 3.11's ``forkserver.main`` ignores it), so
     a package found through an entry added at run time would fail to
     preload, silently, and every worker would import scipy itself."""
+    import multiprocessing.forkserver
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     saved = os.environ.get("PYTHONPATH")
     os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, saved) if p)
@@ -460,6 +525,9 @@ def _start_fork_server() -> None:
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    import multiprocessing.forkserver
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
     panel = load_panel(cfg.panel, cfg.sidecar)
     cells = enumerate_cells(panel, cfg)
     os.makedirs(os.path.join(cfg.out_dir, "draws"), exist_ok=True)
@@ -480,9 +548,11 @@ def cmd_run(cfg: RunConfig) -> int:
     if tasks:
         # One path for any worker count: workers=1 is a pool of one, so every
         # cell runs under the same single-threaded numerics. Workers fork
-        # from a server that imported the engine once.
+        # from a server that imported the engine, and the pool's worker
+        # loop, once.
         ctx = multiprocessing.get_context("forkserver")
-        ctx.set_forkserver_preload(["bnpforecast.cli", "bnpforecast.model_engine"])
+        ctx.set_forkserver_preload(["bnpforecast.cli", "bnpforecast.model_engine",
+                                    "concurrent.futures.process"])
         try:
             _start_fork_server()
             with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=ctx,
@@ -682,6 +752,7 @@ def cmd_report(out_dir: str) -> int:
 def cmd_summarize_lasso(cfg: RunConfig) -> int:
     """Fit the LASSO quantile-path summaries per horizon and model; a model
     whose fit fails is reported on stderr and left out of the CSVs."""
+    from .linear_summary import QuantilePathSet, fit_quantile_paths
     records = _load_cells(cfg.out_dir)
     panel = load_panel(cfg.panel, cfg.sidecar)
     horizons = sorted({r["horizon"] for r in records})

@@ -1,5 +1,7 @@
 """Command-line front end: config validation, grid runs, checkpointing, reports."""
 
+import concurrent.futures
+import copy
 import csv
 import json
 import os
@@ -13,8 +15,11 @@ from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -22,7 +27,7 @@ except ModuleNotFoundError:  # Python 3.10: tomllib is in the stdlib from 3.11
     tomllib = None
 
 import bnpforecast
-from bnpforecast import cli
+from bnpforecast import cli, linear_summary
 from bnpforecast.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from bnpforecast.evaluation import ScorePanel, relative_table
 from bnpforecast.model_engine import derive_cell_seed
@@ -117,6 +122,95 @@ def test_validate_schema_violation_names_field(panel_files, tmp_path, capsys):
     cfg_path = _write_config(tmp_path / "c.json", cfg)
     assert main(["validate", "--config", cfg_path]) == EXIT_CONFIG
     assert "/seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("seed", 5.0, "/seed"),
+    ("mcmc", {"n_iter": 60.0}, "/mcmc/n_iter"),
+    ("horizons", [1.0], "/horizons/0"),
+])
+def test_validate_rejects_integral_float_for_integer(panel_files, tmp_path, capsys,
+                                                     field, value, where):
+    """An integer field takes JSON integers only: 5.0 would reach the
+    program as a float, which hashes to other seeds, or fails every cell."""
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg[field] = value
+    cfg_path = _write_config(tmp_path / "c.json", cfg)
+    assert main(["validate", "--config", cfg_path]) == EXIT_CONFIG
+    assert f"config schema violation at {where}: " in capsys.readouterr().err
+
+
+# jsonschema with JSON's integers, so that 5.0 is not one (it is in jsonschema)
+_Oracle = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)))
+_SCHEMA = cli._schema()
+_FULL_CONFIG = {
+    "panel": "panel.csv", "sidecar": "sidecar.csv", "target": "PRICE", "out_dir": "out",
+    "eval_start": "2021Q1", "eval_end": "2021Q4", "expectations": "INFEXP",
+    "include_expectations": True, "datasets": ["AR1", "Moderate"],
+    "models": ["UC-SV", "GP-DPM"], "horizons": [1, 4],
+    "mcmc": {"n_iter": 130, "n_burn": 30, "thin": 1, "adapt_window": 50,
+             "hyper_step": 0.5, "alpha_step": 1.0},
+    "seed": 0, "workers": 1, "draws_format": "csv", "min_train": 40,
+}
+_VALUES = [None, True, False, 0, 1, 2, 4, -1, 0.5, 2.0, 0.0, "x", "AR1", "bin", [],
+           [1], ["Moderate"], {}, {"n_iter": 3}]
+
+
+def _nodes(value, path=()):
+    """Every (path, value) in a JSON value, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _nodes(v, path + (i,))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_schema_walker_agrees_with_jsonschema(data):
+    """Mutations of a valid config (a key dropped or added, a value or item
+    replaced, an item repeated): the walker rejects exactly when jsonschema
+    does, at the path jsonschema's errors sort first under."""
+    cfg = copy.deepcopy(_FULL_CONFIG)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, node = data.draw(st.sampled_from(list(_nodes(cfg))))
+        kind = data.draw(st.sampled_from(["drop", "replace", "add", "repeat"]))
+        if kind in ("drop", "replace") and path:
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            if kind == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_VALUES)))
+        elif kind == "add" and isinstance(node, dict):
+            node[data.draw(st.sampled_from(["extra", "n_iter", "seed"]))] = 1
+        elif kind == "repeat" and isinstance(node, list) and node:
+            node.append(copy.deepcopy(node[data.draw(st.integers(0, len(node) - 1))]))
+    _assert_walker_agrees(cfg)
+
+
+@pytest.mark.parametrize("change", [
+    {"horizons": [1, True]}, {"horizons": [2, 2.0]}, {"horizons": [[1], [1]]},
+    {"datasets": ["AR1", "AR1"]}, {"mcmc": {"hyper_step": True}}, {"seed": False},
+], ids=repr)
+def test_schema_walker_compares_as_json(change):
+    """Equality and types are JSON's: true is neither 1 nor a number, and
+    2 and 2.0 are equal."""
+    _assert_walker_agrees(dict(_FULL_CONFIG, **change))
+
+
+def _assert_walker_agrees(cfg):
+    errors = sorted(_Oracle(_SCHEMA).iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    found = cli.schema_violation(cfg, _SCHEMA)
+    assert (found is None) == (not errors), (cfg, found, [e.message for e in errors])
+    if errors:
+        assert found[0] == "".join(f"/{p}" for p in errors[0].absolute_path), cfg
 
 
 def test_validate_unknown_model_id(panel_files, tmp_path, capsys):
@@ -318,7 +412,7 @@ def test_run_submits_longest_cells_first(panel_files, tmp_path, monkeypatch):
             fut.set_result({"cell": "", "status": "ok"})
             return fut
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     cfg = _base_config(panel_files, tmp_path / "out")
     cfg["models"] = ["UC-Homosk", "Linear-SV", "GP-DPM", "GPSub-Homosk",
                      "GPSub-DPMSV", "GP-SV"]
@@ -362,7 +456,7 @@ def test_run_with_dead_worker_writes_manifest(panel_files, tmp_path, monkeypatch
                 fut.set_exception(BrokenProcessPool("a worker process terminated"))
             return fut
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
     cfg = _base_config(panel_files, tmp_path / "out")
     cfg["models"] = ["UC-SV"]
     cached = cli.Cell("UC-SV", "none", 1, parse_quarter("2021Q1"))
@@ -716,7 +810,7 @@ def test_summarize_lasso_failed_fit_keeps_other_models(experiment, tmp_path,
     cfg = dict(experiment["cfg"], out_dir=str(out))
     cfg_path = _write_config(tmp_path / "c.json", cfg)
 
-    real_fit = cli.fit_quantile_paths
+    real_fit = linear_summary.fit_quantile_paths
     calls = []
 
     def fit_or_fail(paths, X, *args, **kwargs):
@@ -725,7 +819,7 @@ def test_summarize_lasso_failed_fit_keeps_other_models(experiment, tmp_path,
             raise RuntimeError("active-set LASSO failed to converge")
         return real_fit(paths, X, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "fit_quantile_paths", fit_or_fail)
+    monkeypatch.setattr(linear_summary, "fit_quantile_paths", fit_or_fail)
     assert main(["summarize-lasso", "--config", cfg_path]) == EXIT_PARTIAL
     assert len(calls) == 2
     err = capsys.readouterr().err
@@ -777,24 +871,34 @@ def test_console_script_roundtrip(panel_files, tmp_path):
     assert "missing.json" in bad.stderr
 
 def test_only_run_workers_import_scipy(experiment, tmp_path):
-    """Importing the package and its CLI loads neither scipy nor jsonschema,
-    and no process but ``run``'s fork server and its workers loads scipy:
-    ``validate``, ``report`` and ``summarize-lasso`` never estimate a cell,
-    and neither does the ``run`` process itself. ``report --out`` reads no
-    config, so it does not load jsonschema either."""
+    """Each command imports only what it uses. No process but ``run``'s fork
+    server and its workers loads scipy: ``validate``, ``report`` and
+    ``summarize-lasso`` never estimate a cell, and neither does the ``run``
+    process itself. Only ``run`` loads the pool modules, and only
+    ``summarize-lasso`` the LASSO. No process at all imports jsonschema: a
+    stand-in package earlier on every process's path records each import."""
     out = tmp_path / "out"
     shutil.copytree(os.path.join(experiment["out_dir"], "cells"), out / "cells")
     cfg_path = _write_config(tmp_path / "c.json", dict(experiment["cfg"], out_dir=str(out)))
     run_cfg = _write_config(tmp_path / "run.json",
                             dict(experiment["cfg"], out_dir=str(tmp_path / "run_out")))
+    imported = tmp_path / "jsonschema_imports"
+    imported.mkdir()
+    (tmp_path / "stand_in" / "jsonschema").mkdir(parents=True)
+    (tmp_path / "stand_in" / "jsonschema" / "__init__.py").write_text(
+        "import os\n"
+        f"open(os.path.join({str(imported)!r}, str(os.getpid())), 'w').close()\n"
+        "raise ImportError('jsonschema is not a runtime dependency')\n")
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(bnpforecast.__file__)))
-    env = {**os.environ, "PYTHONPATH": src_dir}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, str(tmp_path / "stand_in")])}
+    pool = ("concurrent.futures", "multiprocessing")
     runs = [
-        (None, ("scipy", "jsonschema")),
-        (["validate", "--config", cfg_path], ("scipy",)),
-        (["report", "--out", str(out)], ("scipy", "jsonschema")),
-        (["summarize-lasso", "--config", cfg_path], ("scipy",)),
-        (["run", "--config", run_cfg], ("scipy",)),
+        (None, ("scipy", "bnpforecast.linear_summary") + pool),
+        (["validate", "--config", cfg_path], ("scipy", "bnpforecast.linear_summary") + pool),
+        (["report", "--out", str(out)], ("scipy", "bnpforecast.linear_summary") + pool),
+        (["report", "--config", cfg_path], ("scipy", "bnpforecast.linear_summary") + pool),
+        (["summarize-lasso", "--config", cfg_path], ("scipy",) + pool),
+        (["run", "--config", run_cfg], ("scipy", "bnpforecast.linear_summary")),
     ]
     for argv, banned in runs:
         code = ("import json, sys, bnpforecast, bnpforecast.cli\n"
@@ -805,4 +909,7 @@ def test_only_run_workers_import_scipy(experiment, tmp_path):
         assert res.returncode == 0, res.stderr
         rc, modules = json.loads(res.stdout.strip().splitlines()[-1])
         assert rc == EXIT_OK, (argv, res.stderr)
-        assert [m for m in modules if m.split(".")[0] in banned] == [], argv
+        assert [m for m in modules if any(m == b or m.startswith(b + ".") for b in banned)
+                ] == [], argv
+        assert "jsonschema" not in modules, argv
+    assert os.listdir(imported) == []

@@ -1,15 +1,19 @@
 """Static checks of the package's modules: no import left behind by a
-deletion, no ``__all__`` entry naming something that is gone, and no
-configuration field that no config file can set."""
+deletion, no ``__all__`` entry naming something that is gone, no runtime
+dependency the code does not import, no configuration field that no config
+file can set, and no schema keyword the config check does not read."""
 
 import ast
 import dataclasses
 import json
 import pathlib
+import re
+import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "bnpforecast"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bnpforecast"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -86,3 +90,37 @@ def test_config_dataclasses_match_schema():
     mcmc = {f.name for f in dataclasses.fields(McmcConfig)} - {"seed"}
     assert mcmc == set(schema["properties"]["mcmc"]["properties"])
     assert {f.name for f in dataclasses.fields(RunConfig)} == set(schema["properties"])
+
+
+def test_runtime_dependencies_are_what_the_package_imports():
+    """``[project] dependencies`` names exactly the third-party packages that
+    ``src/`` imports anywhere, in a function body too."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
+                    for d in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", PACKAGE.name}
+    assert third_party == declared
+
+
+def test_config_check_reads_every_schema_keyword():
+    """Every keyword in ``config_schema.json`` is one ``cli.schema_violation``
+    reads, every type one it knows, and ``additionalProperties`` is false
+    wherever it appears, so a schema edit cannot go unchecked."""
+    from bnpforecast import cli
+    schemas = [json.loads((PACKAGE / "config_schema.json").read_text())]
+    while schemas:
+        schema = schemas.pop()
+        assert set(schema) <= cli._SCHEMA_KEYWORDS, set(schema) - cli._SCHEMA_KEYWORDS
+        types = schema.get("type", [])
+        assert set([types] if isinstance(types, str) else types) <= set(cli._JSON_TYPES)
+        assert schema.get("additionalProperties", False) is False
+        schemas.extend(schema.get("properties", {}).values())
+        schemas.extend([schema["items"]] if "items" in schema else [])

@@ -234,11 +234,16 @@ def schema_violation(value, schema: dict, path: str = ""):
     return None
 
 
+def _reject_constant(name: str):
+    """``json.load``'s hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read and override a JSON config, schema-check it, and fill defaults."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -831,7 +836,11 @@ def _overrides(args) -> dict:
     if args.models:
         ov["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
     if args.horizons:
-        ov["horizons"] = [int(x) for x in args.horizons.split(",")]
+        try:
+            ov["horizons"] = [int(x) for x in args.horizons.split(",")]
+        except ValueError:
+            raise ConfigError(
+                f"--horizons takes comma-separated integers, not {args.horizons!r}")
     if args.draws_format:
         ov["draws_format"] = args.draws_format
     return ov

@@ -23,8 +23,6 @@ __all__ = [
     "PitSeries",
     "quantile_score",
     "log_pred_likelihood",
-    "mse",
-    "score_forecasts",
     "relative_table",
     "cumulative_path",
     "subsample_average",
@@ -165,12 +163,6 @@ def log_pred_likelihood(draw_components, y: float) -> float:
     return _logsumexp(logw + logpdf)
 
 
-def mse(errors) -> float:
-    """Mean squared error of a vector of forecast errors."""
-    e = np.asarray(errors, dtype=float)
-    return float(np.mean(e * e))
-
-
 def pit_compute(draws: np.ndarray, y: float, rng: np.random.Generator | None = None) -> float:
     """Fraction of draws below the outcome, ties broken uniformly at random."""
     d = np.asarray(draws, dtype=float)
@@ -180,25 +172,6 @@ def pit_compute(draws: np.ndarray, y: float, rng: np.random.Generator | None = N
         u = 0.5 if rng is None else float(rng.uniform())
         below += u * ties
     return float(below / d.size)
-
-
-def score_forecasts(model_id: str, preds, rng: np.random.Generator | None = None,
-                    p_grid=P_GRID) -> tuple[ScorePanel, PitSeries]:
-    """Score a list of per-origin predictive draws against realized outcomes."""
-    preds = [p for p in preds if p.y_true is not None]
-    if not preds:
-        raise ValueError("no scored origins: realized outcomes missing")
-    dates = np.array([p.origin_date for p in preds], dtype=int)
-    y = np.array([p.y_true for p in preds], dtype=float)
-    point = np.array([p.point for p in preds], dtype=float)
-    lpls = np.array([log_pred_likelihood(p.components, p.y_true) for p in preds])
-    qs = {p: np.array([quantile_score(pr.y_true, pr.quantiles[p], p) for pr in preds])
-          for p in p_grid}
-    pits = np.array([pit_compute(pr.draws, pr.y_true, rng) for pr in preds])
-    panel = ScorePanel(model_id=model_id, origin_dates=dates, y_true=y,
-                       sq_errors=(y - point) ** 2, lpls=lpls, qs=qs,
-                       horizon=preds[0].horizon)
-    return panel, PitSeries(model_id=model_id, origin_dates=dates, values=pits)
 
 
 def _check_aligned(panel: ScorePanel, benchmark: ScorePanel) -> None:

@@ -7,7 +7,7 @@ where Phi0 projects onto a linear basis; tau^2 -> 0 pins the fit to the
 projection (omega = 1/(1+tau^2) -> 1) and tau^2 -> inf recovers the GP.
 This module holds the kernel, the jittered Cholesky, and the samplers of
 tau^2 and of the kernel hyperparameters; ``model_engine`` works the
-conditionals of f in precision form.
+conditionals of f from Cholesky factors of K plus a diagonal.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrf
 from scipy.special import expit, gammainc, gammaincinv, logit
 
 __all__ = [
@@ -69,6 +69,18 @@ def kernel_from_sqdist(D2: np.ndarray, hyper: KernelHyper) -> np.ndarray:
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 
+def cho_factor(M: np.ndarray):
+    """(lower Cholesky factor, True) of M by one LAPACK ``dpotrf`` call, as
+    ``scipy.linalg.cho_factor(M, lower=True, check_finite=False)`` returns
+    it bit for bit: only the lower triangle is read and written, and the
+    upper one keeps M's values. Raises LinAlgError when M is not positive
+    definite."""
+    c, info = dpotrf(M, lower=1, clean=0)
+    if info:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed (dpotrf info {info})")
+    return c, True
+
+
 def chol_psd(M: np.ndarray, scale: float | None = None, what: str = "matrix"):
     """Lower Cholesky factor with escalating diagonal jitter.
 
@@ -76,18 +88,20 @@ def chol_psd(M: np.ndarray, scale: float | None = None, what: str = "matrix"):
     defaults to the largest diagonal entry) before raising.
     """
     M = np.asarray(M, dtype=float)
-    if scale is None:
-        scale = float(np.max(np.abs(np.diag(M)))) or 1.0
     for rel in _JITTERS:
         Mj = M
         if rel:
+            if scale is None:
+                scale = float(np.max(np.abs(np.diag(M)))) or 1.0
             Mj = M.copy()
             Mj[np.diag_indices_from(Mj)] += rel * scale
         try:
-            c = cho_factor(Mj, lower=True, check_finite=False)
+            c = cho_factor(Mj)
         except np.linalg.LinAlgError:
             continue
-        if np.all(np.isfinite(c[0])):
+        # L[i, i]^2 = M[i, i] - sum_{j<i} L[i, j]^2 takes in the rest of row i,
+        # so a finite diagonal means a finite lower triangle, all that is read.
+        if np.all(np.isfinite(np.diagonal(c[0]))):
             return c
     raise SingularKernelError(f"{what}: Cholesky failed at maximum jitter {_JITTERS[-1] * scale:g}")
 

@@ -7,28 +7,29 @@ and simulates h-step-ahead predictive draws: ``forecast_cell`` estimates
 one (model, origin) cell of the expanding-window experiment, whose
 origins ``cli`` enumerates.
 
-The GP updates work in precision form: with A = K^{-1} + (I - Phi0)/tau^2
-(A = K^{-1} for the plain GP) and P = A + Sigma^{-1}, the latent function
-draw and the collapsed marginal likelihood for the kernel hyperparameters
-(Rasmussen & Williams 2006, Alg. 2.1, in precision form) come from the
-Cholesky factors of K, A and P. K^{-1} is formed once per kernel
-hyperparameter by LAPACK ``dpotri`` on the factor of K, and the factor of
-A is kept per (hyperparameter, tau^2). A sweep that proposes a new
-hyperparameter therefore costs three T^3/3 factorizations for GP (P at the
-current and at the proposed hyperparameter, K at the proposed one) and
-five for GPSub (plus A at the proposed one, and A at the current one after
-every tau^2 move), and one ``dpotri``.
+Every T x T matrix the GP and GPSub mean blocks factor is K plus a
+diagonal, and no inverse is formed. GP uses the covariance form
+(Rasmussen & Williams 2006, Alg. 2.1): the collapsed likelihood comes from
+the factor of K + Sigma. GPSub's prior precision A = K^{-1} + zeta (I - UU')
+and posterior precision P = A + Sigma^{-1} enter through k x k corrections
+on the window basis U (k <= 29 columns): det(AK) through I + zeta K, and
+det(PK) and P^{-1} through K + D^{-1} with D = zeta + Sigma^{-1}
+(``_conditional``). f is drawn by pathwise conditioning (Wilson et al.
+2020), for which K's own factor is computed only when a sweep keeps a new
+hyperparameter. A sweep that proposes one therefore factors, at the
+current and at the proposed hyperparameter, K + Sigma for GP, and for
+GPSub K + D^{-1}, I + zeta K (after every tau^2 move) and two k x k
+matrices; each also factors K when the proposal is accepted.
 
-Linear is the exact tau^2 -> 0 limit of GPSub: f = U beta on the window's
-orthonormal basis U (k <= 29 columns), with beta ~ N(0, M^{-1}) and
-M = U'K^{-1}U. Its A and P are the k x k precisions of beta, M and
-G = M + U'Sigma^{-1}U, so a sweep with a new hyperparameter factors one
-T x T matrix (K at the proposal, then M = W'W with W = L_K^{-1} U) and
-calls no ``dpotri``. Each retained draw records the mean block's moments
-at the forecast origin, all that ``predictive_simulate`` reads of it; for
-GP and GPSub these are two triangular solves against the chain's own
-factor of K (``_GpContext.origin_moments``), so nothing is factored
-outside the sweeps.
+Linear is the exact tau^2 -> 0 limit of GPSub: f = U beta with
+beta ~ N(0, M^{-1}) and M = U'K^{-1}U. Its prior and posterior precisions
+are the k x k matrices M and G = M + U'Sigma^{-1}U of beta, so a sweep
+with a new hyperparameter factors one T x T matrix (K at the proposal,
+then M = W'W with W = L_K^{-1} U). Each retained draw records the mean
+block's moments at the forecast origin, all that ``predictive_simulate``
+reads of it; for GP and GPSub these are two triangular solves against the
+factor of K that the sweep's draw of f left (``_GpContext.origin_moments``),
+so nothing is factored outside the sweeps.
 """
 from __future__ import annotations
 
@@ -39,7 +40,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
+from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .data_pipeline import (
     MEAN_KINDS,
@@ -198,43 +200,48 @@ def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray | None = Non
 
 @dataclass
 class _HyperSlot:
-    """Factors cached for one kernel hyperparameter.
+    """Kernel pieces cached for one kernel hyperparameter.
 
-    GP and GPSub keep the lower Cholesky factor L of K (for the origin
-    moments), K^{-1} and log det K, and GPSub adds the prior precision A at
-    one zeta. ``kinv`` and the cached A carry their values in the lower
-    triangle only: ``dpotri`` fills one triangle, and every consumer (the
-    lower Cholesky factorizations of A and P, and the solves against them)
-    reads that triangle alone, so the upper one is never mirrored. Linear
-    keeps only its coefficient precision M = U'K^{-1}U, as ``prec``.
+    GP and GPSub keep the kernel matrix K, its lower Cholesky factor once a
+    draw of f or the origin moments ask for it (``chol_k``), and for GPSub
+    the prior's log-determinant term at one zeta (``_prior_logdet``).
+    Linear keeps only its coefficient precision M = U'K^{-1}U and log det M,
+    as ``prec``.
     """
 
-    chol: np.ndarray | None
-    kinv: np.ndarray | None
-    logdet_k: float | None
+    K: np.ndarray | None = None
+    L: np.ndarray | None = None
     zeta: float | None = None
-    prec: tuple | None = None  # (A, chol A, log det A) at zeta; Linear: M
+    logdet_ak: float | None = None  # GPSub: log det A + log det K at zeta
+    prec: tuple | None = None       # Linear: (M, log det M)
+
+    def chol_k(self) -> np.ndarray:
+        """Lower Cholesky factor of K (upper triangle not cleaned), factored
+        on first use."""
+        if self.L is None:
+            self.L = chol_psd(self.K, what="kernel matrix")[0]
+        return self.L
 
 
 class _GpContext:
     """Precomputed quantities and factor caches for one estimation window.
 
-    ``U`` is the window basis's orthonormal factor for Linear and None
-    otherwise; GPSub keeps the projector Phi0 = U U' and Q = I - Phi0. The
+    ``U`` is the orthonormal factor of the window basis for Linear and
+    GPSub, and GPSub keeps its projector Phi0 = U U' for the tau^2 move. The
     origin row x_new enters as ``d2_new`` = ||x_t - x_new||^2, GPSub's
     ``phi_new`` (the last column of the projector onto [B; b_new]) and
     Linear's ``g`` (the minimum-norm solution of B'g = b_new).
     """
 
     def __init__(self, spec: ModelSpec, data: WindowData):
-        self.spec = spec
+        self.kind = spec.mean_kind
         self.data = data
         self.D2 = squared_distances(data.X)
         self.T = data.T
         x_new = np.asarray(data.x_new, dtype=float).ravel()
         self.d2_new = squared_distances(data.X, x_new)[:, 0]
-        self.U = self.Phi0 = self.Q = self.basis_rank = self.phi_new = self.g = None
-        if spec.mean_kind in ("Linear", "GPSub"):
+        self.U = self.Phi0 = self.basis_rank = self.phi_new = self.g = None
+        if self.kind in ("Linear", "GPSub"):
             B, b_new, k = _window_basis(spec, data.X, x_new)
             Qb, R = qr(B, mode="economic")
             dR = np.abs(np.diag(R))
@@ -242,27 +249,24 @@ class _GpContext:
                 raise SingularKernelError(
                     "projection basis is rank deficient; drop collinear columns")
             self.basis_rank = k
-            if spec.mean_kind == "Linear":
-                self.U = Qb
+            self.U = Qb
+            if self.kind == "Linear":
                 self.g = np.linalg.lstsq(B.T, b_new, rcond=None)[0]
             else:
                 self.Phi0 = Qb @ Qb.T
-                self.Q = np.eye(self.T) - self.Phi0
                 Qa = qr(np.vstack([B, b_new]), mode="economic")[0]
                 self.phi_new = Qa @ Qa[-1, :]
         # two-slot kernel cache: current hyper and latest proposal
         self._kp: list[tuple[tuple[float, float], _HyperSlot]] = []
 
     def kernel_pieces(self, hyper: KernelHyper) -> _HyperSlot:
-        """The cached factor slot of the Gaussian kernel at this hyperparameter.
+        """The cached slot of the Gaussian kernel at this hyperparameter.
 
-        For GP and GPSub a slot holds the Cholesky factor L of K, K^{-1}
-        (lower triangle only; see ``_HyperSlot``), log det K, and once
-        ``_a_pieces`` has asked for them, the prior precision A at one zeta
-        with its Cholesky factor and log det A. For Linear it holds
-        M = W'W with W = L^{-1} U, with its factor and log det M. The two
-        slots hold the last two hyperparameters asked for, the current one
-        and the latest proposal; a hit moves its slot to the back.
+        For GP and GPSub a new slot holds K alone; nothing is factored until
+        a sweep asks. For Linear it holds M = W'W with W = L^{-1} U and
+        log det M. The two slots hold the last two
+        hyperparameters asked for, the current one and the latest proposal;
+        a hit moves its slot to the back.
         """
         key = (hyper.xi, hyper.phi)
         for i, (k, slot) in enumerate(self._kp):
@@ -270,16 +274,13 @@ class _GpContext:
                 self._kp.append(self._kp.pop(i))
                 return slot
         K = kernel_from_sqdist(self.D2, hyper)
-        cK, _ = chol_psd(K, what="kernel matrix")
-        if self.U is not None:
+        if self.kind == "Linear":
+            cK, _ = chol_psd(K, what="kernel matrix")
             W = dtrtrs(cK, self.U, lower=1)[0]
             M = W.T @ W
-            cM = _chol_spd(M, "basis precision")
-            slot = _HyperSlot(None, None, None, prec=(M, cM, _logdet(cM)))
+            slot = _HyperSlot(prec=(M, _logdet(_chol_spd(M, "basis precision"))))
         else:
-            logdet_k = 2.0 * float(np.sum(np.log(np.diag(cK))))
-            Kinv, _ = dpotri(cK, lower=1)
-            slot = _HyperSlot(cK, Kinv, logdet_k)
+            slot = _HyperSlot(K)
         self._kp.append((key, slot))
         if len(self._kp) > 2:
             self._kp.pop(0)
@@ -294,12 +295,12 @@ class _GpContext:
         w = L^{-1}k*, s = max(xi - w'w, 0) and v = L^{-T}w = K^{-1}k*, the
         prior precision's column of f_new is [-v; 1]/s + zeta (e - phi_new),
         so mean = (v'f + s zeta phi_new[:T]'f) / d and var = s / d with
-        d = 1 + s zeta (1 - phi_new[T]), finite as s -> 0. L is the slot
-        the sweep left for ``hyper``, so nothing is factored.
+        d = 1 + s zeta (1 - phi_new[T]), finite as s -> 0. L is the factor
+        the sweep's draw of f left in the slot for ``hyper``.
         """
-        if self.U is not None:
+        if self.kind == "Linear":
             return float(self.g @ f), 0.0
-        L = self.kernel_pieces(hyper).chol
+        L = self.kernel_pieces(hyper).chol_k()
         w = dtrtrs(L, kernel_from_sqdist(self.d2_new, hyper), lower=1)[0]
         s = max(hyper.xi - float(w @ w), 0.0)
         mean = float(dtrtrs(L, w, lower=1, trans=1)[0] @ f)
@@ -310,84 +311,160 @@ class _GpContext:
         return (mean + c * float(self.phi_new[:-1] @ f)) / denom, s / denom
 
 
-def _chol_spd(M: np.ndarray, what: str):
-    """Lower Cholesky factor of Linear's k x k M or G, by ``dpotrf`` without
-    jitter: cond(M) = cond(W)^2 is at most that of the factored kernel, and
-    G = M + U'Sigma^{-1}U adds a positive definite term."""
+def _chol_spd(M: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of a k x k matrix (Linear's M and P, GPSub's
+    U'B^{-1}U and C) by ``dpotrf`` without jitter: each is the Gram matrix
+    of a full-rank T x k factor, plus a positive semidefinite term in P
+    and C."""
     c, info = dpotrf(M, lower=1, clean=0)
     if info:
         raise SingularKernelError(f"{what}: Cholesky failed")
-    return c, True
+    return c
 
 
-def _logdet(c) -> float:
-    """log det of a matrix from its (lower factor, True) Cholesky pair."""
-    return 2.0 * float(np.sum(np.log(np.diag(c[0]))))
+def _chol_shifted(M: np.ndarray, d, what: str) -> np.ndarray:
+    """Lower Cholesky factor of M + diag(d) by ``chol_psd``; M is a fresh
+    array, shifted in place."""
+    M.reshape(-1)[::M.shape[0] + 1] += d
+    return chol_psd(M, what=what)[0]
 
 
-def _a_pieces(ctx: _GpContext, hyper: KernelHyper, zeta: float | None):
-    """Prior precision A of the mean block, its Cholesky factor and log det A.
+def _logdet(L: np.ndarray) -> float:
+    """log det of a matrix from its lower Cholesky factor."""
+    return 2.0 * float(np.sum(np.log(np.diag(L))))
 
-    GP (zeta None): A = K^{-1}; nothing is factored, the factor comes back
-    as None and log det A = -log det K. GPSub: A = K^{-1} + zeta (I - Phi0),
-    cached with its factor in the hyperparameter's slot for this zeta; only
-    A's lower triangle is meaningful. Linear: A = M = U'K^{-1}U, the k x k
-    precision of beta in f = U beta.
+
+def _gauss_loglik(T: int, sigma: np.ndarray, logdet_p: float, logdet_a: float,
+                  quad: float) -> float:
+    """log N(r; 0, K1 + Sigma) = -(T log 2 pi + log det(K1 + Sigma) + quad)/2,
+    where det(K1 + Sigma) = det Sigma det P / det A and
+    quad = r'(K1 + Sigma)^{-1} r."""
+    return -0.5 * (T * math.log(2.0 * math.pi) + float(np.sum(np.log(sigma)))
+                   + logdet_p - logdet_a + quad)
+
+
+def _prior_logdet(ctx: _GpContext, slot: _HyperSlot, zeta: float) -> float:
+    """log det A + log det K for GPSub's prior precision
+    A = K^{-1} + zeta (I - U U'), cached in the slot for one zeta.
+
+    With B = I + zeta K, AK = B - zeta U U'K and det(AK) = det B
+    det(U'B^{-1}U), since U'U = I. B's eigenvalues are at least 1, so it is
+    factored where K itself may be singular.
+    """
+    if slot.zeta != zeta:
+        cB = _chol_shifted(zeta * slot.K, 1.0, "prior precision")
+        W = dtrtrs(cB, ctx.U, lower=1)[0]
+        slot.zeta = zeta
+        slot.logdet_ak = _logdet(cB) + _logdet(_chol_spd(W.T @ W, "prior precision"))
+    return slot.logdet_ak
+
+
+@dataclass
+class _Conditional:
+    """The Gaussian conditional of f at one hyperparameter, as ``_draw_f``
+    reads it, with the collapsed log-likelihood ``loglik``.
+
+    ``chol`` is the lower Cholesky factor of P (Linear, k x k), of K + Sigma
+    (GP) or of K + D^{-1} (GPSub). ``b`` is U'Sigma^{-1}r (Linear), r (GP)
+    or Sigma^{-1}r (GPSub). ``noise`` is the variance vector of the pathwise
+    draw's noise: Sigma (GP) or D^{-1} (GPSub). GPSub adds ``c`` =
+    zeta C^{-1}U'Sb and the lower factor ``chol_c`` of C.
+    """
+
+    loglik: float
+    slot: _HyperSlot
+    chol: np.ndarray
+    b: np.ndarray
+    noise: np.ndarray | None = None
+    zeta: float | None = None
+    c: np.ndarray | None = None
+    chol_c: np.ndarray | None = None
+
+
+def _conditional(ctx: _GpContext, hyper: KernelHyper, r: np.ndarray,
+                 sigma: np.ndarray, zeta: float | None) -> _Conditional:
+    """f's conditional given r = f + e, e ~ N(0, Sigma), at ``hyper`` and
+    zeta = 1/tau^2 (GPSub), and log N(r; 0, K1 + Sigma) with f integrated
+    out, where K1 is the prior covariance of f.
+
+    Linear (K1 = U M^{-1} U'): the k x k precision P = M + U'Sigma^{-1}U
+    of beta in f = U beta, by Woodbury's identity.
+
+    GP (K1 = K): the covariance form of Rasmussen & Williams (2006,
+    Alg. 2.1), from L = chol(K + Sigma).
+
+    GPSub (K1 = A^{-1}, A = K^{-1} + zeta (I - U U')): with b = Sigma^{-1}r,
+    D = zeta + Sigma^{-1} and S = (K^{-1} + D)^{-1}, the posterior
+    precision is P = S^{-1} - zeta U U' and C = I - zeta U'SU, so
+    det(PK) = det D det(K + D^{-1}) det C and
+    b'P^{-1}b = b'Sb + zeta (U'Sb)'C^{-1}(U'Sb). With L = chol(K + D^{-1})
+    and W = L^{-1}D^{-1}U, C = U'(Sigma D)^{-1}U + zeta W'W. The log det K
+    in det(AK) (``_prior_logdet``) cancels.
     """
     slot = ctx.kernel_pieces(hyper)
-    if ctx.U is not None:
-        return slot.prec
-    if zeta is None:
-        return slot.kinv, None, -slot.logdet_k
-    if slot.zeta != zeta:
-        A = slot.kinv + zeta * ctx.Q
-        cA = chol_psd(A, what="prior precision")
-        slot.zeta, slot.prec = zeta, (A, cA, _logdet(cA))
-    return slot.prec
-
-
-def _p_pieces(A: np.ndarray, sigma: np.ndarray, U: np.ndarray | None = None):
-    """P = A + Sigma^{-1} with its Cholesky factor and log-determinant.
-
-    Reads A's lower triangle only. With a basis U (Linear) the precisions
-    are those of beta in f = U beta, and P = A + U'Sigma^{-1}U.
-    """
-    if U is None:
-        P = A.copy()
-        P[np.diag_indices_from(P)] += 1.0 / sigma
-        cP = chol_psd(P, what="posterior precision")
-    else:
-        cP = _chol_spd(A + U.T @ (U / sigma[:, None]), "posterior precision")
-    return cP, _logdet(cP)
-
-
-def _collapsed_loglik(r: np.ndarray, sigma: np.ndarray, logdetA: float,
-                      cP, logdetP: float, U: np.ndarray | None = None) -> float:
-    """log N(r; 0, K1 + Sigma) with the latent function integrated out.
-
-    With a basis U (Linear, K1 = U M^{-1} U'), Sigma^{-1} r enters the
-    solve as U'Sigma^{-1}r: Woodbury's identity in k x k matrices.
-    """
     T = r.size
+    if ctx.kind == "Linear":
+        M, logdet_m = slot.prec
+        U = ctx.U
+        cP = _chol_spd(M + U.T @ (U / sigma[:, None]), "posterior precision")
+        b = r / sigma
+        c = U.T @ b
+        quad = float(r @ b) - float(c @ dpotrs(cP, c, lower=1)[0])
+        return _Conditional(_gauss_loglik(T, sigma, _logdet(cP), logdet_m, quad),
+                            slot, cP, c)
+    if zeta is None:
+        L = _chol_shifted(slot.K.copy(), sigma, "kernel plus noise")
+        a = dtrtrs(L, r, lower=1)[0]
+        loglik = -0.5 * (T * math.log(2.0 * math.pi) + _logdet(L) + float(a @ a))
+        return _Conditional(loglik, slot, L, r, sigma)
+    U = ctx.U
     b = r / sigma
-    c = b if U is None else U.T @ b
-    quad = float(r @ b) - float(c @ dpotrs(cP[0], c, lower=1)[0])
-    return -0.5 * (T * math.log(2.0 * math.pi) + float(np.sum(np.log(sigma)))
-                   + logdetP - logdetA + quad)
+    d = zeta + 1.0 / sigma
+    noise = 1.0 / d
+    L = _chol_shifted(slot.K.copy(), noise, "kernel plus inverse precision")
+    u = noise * b
+    a = dtrtrs(L, u, lower=1)[0]
+    Sb = u - noise * dtrtrs(L, a, lower=1, trans=1)[0]
+    W = dtrtrs(L, noise[:, None] * U, lower=1)[0]
+    cC = _chol_spd(U.T @ (U * (noise / sigma)[:, None]) + zeta * (W.T @ W),
+                   "subspace precision")
+    q = U.T @ Sb
+    x = dpotrs(cC, q, lower=1)[0]
+    quad = float(r @ b) - (float(b @ u) - float(a @ a)) - zeta * float(q @ x)
+    logdet_pk = float(np.sum(np.log(d))) + _logdet(L) + _logdet(cC)
+    loglik = _gauss_loglik(T, sigma, logdet_pk, _prior_logdet(ctx, slot, zeta), quad)
+    return _Conditional(loglik, slot, L, b, noise, zeta, zeta * x, cC)
 
 
-def _draw_f(r: np.ndarray, sigma: np.ndarray, cP, rng: np.random.Generator,
-            U: np.ndarray | None = None) -> np.ndarray:
-    """f ~ N(P^{-1} Sigma^{-1} r, P^{-1}) from the lower Cholesky factor L of P:
-    the noise is L^{-T} z. With a basis U (Linear) the draw is f = U beta,
-    beta ~ N(P^{-1} U'Sigma^{-1} r, P^{-1}), and z has one entry per column."""
-    b = r / sigma
-    if U is not None:
-        b = U.T @ b
-    x = dpotrs(cP[0], b, lower=1)[0]
-    z = rng.standard_normal(b.size)
-    x = x + dtrtrs(cP[0], z, lower=1, trans=1)[0]
-    return x if U is None else U @ x
+def _draw_f(ctx: _GpContext, post: _Conditional, rng: np.random.Generator) -> np.ndarray:
+    """One draw of f from its conditional.
+
+    Linear: f = U beta, beta = P^{-1}U'Sigma^{-1}r + L^{-T}z with L the
+    factor of P. GP and GPSub by pathwise conditioning (Wilson et al. 2020):
+    f = g + K (K + N)^{-1}(y - g - e) with g = L_K z1 ~ N(0, K) and
+    e = N^{1/2} z2, which has the law of f given pseudo-data y observed with
+    noise N. GP: N = Sigma, y = r. GPSub: N = D^{-1} and
+    y = D^{-1}(b + U v), where v ~ N(c, zeta C^{-1}) is drawn first from
+    C's factor with z3; f given v has precision K^{-1} + D and linear term
+    b + U v. One normal vector carries z = (z1, z2, z3): 2T + k entries
+    for GPSub, 2T for GP and k for Linear.
+    """
+    if ctx.kind == "Linear":
+        x = dpotrs(post.chol, post.b, lower=1)[0]
+        z = rng.standard_normal(post.b.size)
+        x = x + dtrtrs(post.chol, z, lower=1, trans=1)[0]
+        return ctx.U @ x
+    T = ctx.T
+    if post.zeta is None:
+        z = rng.standard_normal(2 * T)
+        y = post.b
+    else:
+        z = rng.standard_normal(2 * T + ctx.U.shape[1])
+        w = dtrtrs(post.chol_c, z[2 * T:], lower=1, trans=1)[0]
+        y = post.noise * (post.b + ctx.U @ (post.c + math.sqrt(post.zeta) * w))
+    g = dtrmv(post.slot.chol_k(), z[:T], lower=1)
+    v = y - g - np.sqrt(post.noise) * z[T:2 * T]
+    return g + post.slot.K @ dpotrs(post.chol, v, lower=1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -499,29 +576,24 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
     else:
         r = y - offsets
         zeta = 1.0 / state.tau2 if spec.mean_kind == "GPSub" else None
-        U = ctx.U
-        A, _, logdetA = _a_pieces(ctx, state.hyper, zeta)
-        cP, logdetP = _p_pieces(A, sigma, U)
-        ll_cur = _collapsed_loglik(r, sigma, logdetA, cP, logdetP, U)
+        post = _conditional(ctx, state.hyper, r, sigma, zeta)
         pending: dict = {}
 
         def _ll(xi: float, phi: float) -> float:
-            hyp = KernelHyper(xi, phi)
             try:
-                A_p, _, ldA_p = _a_pieces(ctx, hyp, zeta)
-                cP_p, ldP_p = _p_pieces(A_p, sigma, U)
+                prop = _conditional(ctx, KernelHyper(xi, phi), r, sigma, zeta)
             except SingularKernelError:
                 return -np.inf
-            pending[(xi, phi)] = cP_p
-            return _collapsed_loglik(r, sigma, ldA_p, cP_p, ldP_p, U)
+            pending[(xi, phi)] = prop
+            return prop.loglik
 
         new_hyper, accepted, _ = sample_kernel_hyper(
-            state.hyper, _ll, rng, step=state.hyper_step.step, loglik_current=ll_cur)
+            state.hyper, _ll, rng, step=state.hyper_step.step, loglik_current=post.loglik)
         state.hyper_step.update(accepted)
         if accepted:
             state.hyper = new_hyper
-            cP = pending[(new_hyper.xi, new_hyper.phi)]
-        state.f = _draw_f(r, sigma, cP, rng, U)
+            post = pending[(new_hyper.xi, new_hyper.phi)]
+        state.f = _draw_f(ctx, post, rng)
         _check_finite(state.f, "mean", state.iteration)
         if spec.mean_kind == "GPSub":
             state.tau2 = sample_tau2(state.f, ctx.Phi0, state.tau2, rng,

@@ -48,9 +48,13 @@ def dense_kernel(X, hyper):
 
 
 class ZeroRng:
-    """Stub generator: all normals zero, gamma draws pinned at their mean."""
+    """Stub generator: all normals zero, gamma draws pinned at their mean.
+    ``n`` is the length of the last normal vector asked for."""
+
+    n = None
 
     def standard_normal(self, n=None):
+        self.n = n
         return np.zeros(n) if n is not None else 0.0
 
     def gamma(self, shape, scale=1.0, size=None):
@@ -94,20 +98,28 @@ def run_chain_recording_f(spec, data, cfg):
     return draws, np.array(seen[cfg.n_burn::cfg.thin])
 
 
-def engine_conditional(mean_kind, X, r, sigma, hyper, zeta=None):
-    """(collapsed log-likelihood, mean, covariance) of f from the engine's
-    mean block, the path ``run`` executes: the window context, the prior
-    precision A, the posterior precision P and the f draw. The mean is the
-    draw at z = 0 and the covariance W W' from the draws at unit vectors z."""
+def engine_context(mean_kind, X):
+    """The engine's window context for a mean kind on predictors X."""
     X = np.asarray(X, dtype=float)
     spec = ModelSpec(mean_kind, "Homosk", DatasetSpec("Moderate", "PRICE", 1, False))
-    data = me.WindowData(y=np.asarray(r, dtype=float), X=X,
-                         x_new=np.zeros(X.shape[1]), horizon=1)
-    ctx = me._GpContext(spec, data)
-    A, _, logdetA = me._a_pieces(ctx, hyper, zeta)
-    cP, logdetP = me._p_pieces(A, sigma, ctx.U)
-    ll = me._collapsed_loglik(r, sigma, logdetA, cP, logdetP, ctx.U)
-    fbar = me._draw_f(r, sigma, cP, ZeroRng(), ctx.U)
-    W = np.column_stack([me._draw_f(r, sigma, cP, UnitRng(i), ctx.U) - fbar
-                         for i in range(cP[0].shape[0])])
-    return ll, fbar, W @ W.T
+    data = me.WindowData(y=np.zeros(X.shape[0]), X=X, x_new=np.zeros(X.shape[1]),
+                         horizon=1)
+    return me._GpContext(spec, data)
+
+
+def engine_conditional(mean_kind, X, r, sigma, hyper, zeta=None, ctx=None):
+    """(collapsed log-likelihood, mean, covariance) of f from the engine's
+    mean block, the path ``run`` executes: the window context (``ctx`` if
+    given), the conditional at (hyper, zeta) and the f draw. The mean is the
+    draw at z = 0, and the covariance W W' from the draws at each unit
+    vector z of the draw's normal vector (2T + k entries for GPSub, 2T for
+    GP, k for Linear)."""
+    if ctx is None:
+        ctx = engine_context(mean_kind, X)
+    r = np.asarray(r, dtype=float)
+    post = me._conditional(ctx, hyper, r, np.asarray(sigma, dtype=float), zeta)
+    zero = ZeroRng()
+    fbar = me._draw_f(ctx, post, zero)
+    W = np.column_stack([me._draw_f(ctx, post, UnitRng(i)) - fbar
+                         for i in range(zero.n)])
+    return post.loglik, fbar, W @ W.T

@@ -140,6 +140,29 @@ def test_validate_rejects_integral_float_for_integer(panel_files, tmp_path, caps
     assert f"config schema violation at {where}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, constant", [
+    (float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity")])
+def test_validate_rejects_non_json_number_constants(panel_files, tmp_path, capsys,
+                                                    value, constant):
+    """``json.load`` reads NaN, Infinity and -Infinity, which are not JSON;
+    a NaN hyper step would pass the schema and fail every GP-path cell."""
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg["mcmc"] = {**cfg["mcmc"], "hyper_step": value}
+    cfg_path = _write_config(tmp_path / "c.json", cfg)
+    with open(cfg_path) as fh:
+        assert f'"hyper_step": {constant}' in fh.read()
+    assert main(["validate", "--config", cfg_path]) == EXIT_CONFIG
+    assert f"config is not valid JSON: {constant} is not a JSON number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["a", "1,x", "1.0"])
+def test_non_integer_horizons_flag_is_a_config_error(panel_files, tmp_path, capsys, flag):
+    cfg_path = _write_config(tmp_path / "c.json",
+                             _base_config(panel_files, tmp_path / "out"))
+    assert main(["validate", "--config", cfg_path, "--horizons", flag]) == EXIT_CONFIG
+    assert f"--horizons takes comma-separated integers, not {flag!r}" in capsys.readouterr().err
+
+
 # jsonschema with JSON's integers, so that 5.0 is not one (it is in jsonschema)
 _Oracle = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,

@@ -18,12 +18,10 @@ from bnpforecast.evaluation import (
     cumulative_path,
     kolmogorov_halfwidth,
     log_pred_likelihood,
-    mse,
     pit_compute,
     quantile_score,
     relative_table,
     rs_diagnostic,
-    score_forecasts,
     subsample_average,
     write_calibration_csv,
     write_cumulative_csv,
@@ -212,6 +210,13 @@ def test_lpl_equals_scipy_logsumexp_on_fixtures(monkeypatch):
 # relative tables
 
 
+def mse(errors) -> float:
+    """Mean squared error of a vector of forecast errors: the MSE that
+    ``relative_table`` averages from a panel's squared errors."""
+    e = np.asarray(errors, dtype=float)
+    return float(np.mean(e * e))
+
+
 def test_mse_hand_value():
     assert mse([1.0, -2.0, 3.0]) == pytest.approx(14.0 / 3.0)
 
@@ -395,6 +400,26 @@ def _fake_pred(origin, y_true, mean, var, n=400, seed=0):
     return PredictiveDraws(origin_date=origin, horizon=1, draws=draws,
                            point=float(draws.mean()), quantiles=qs,
                            components=comps, y_true=y_true)
+
+
+def score_forecasts(model_id, preds, rng=None, p_grid=P_GRID):
+    """Score a list of per-origin predictive draws against realized
+    outcomes with the package's scoring functions, as a (ScorePanel,
+    PitSeries) pair."""
+    preds = [p for p in preds if p.y_true is not None]
+    if not preds:
+        raise ValueError("no scored origins: realized outcomes missing")
+    dates = np.array([p.origin_date for p in preds], dtype=int)
+    y = np.array([p.y_true for p in preds], dtype=float)
+    point = np.array([p.point for p in preds], dtype=float)
+    lpls = np.array([log_pred_likelihood(p.components, p.y_true) for p in preds])
+    qs = {p: np.array([quantile_score(pr.y_true, pr.quantiles[p], p) for pr in preds])
+          for p in p_grid}
+    pits = np.array([pit_compute(pr.draws, pr.y_true, rng) for pr in preds])
+    panel = ScorePanel(model_id=model_id, origin_dates=dates, y_true=y,
+                       sq_errors=(y - point) ** 2, lpls=lpls, qs=qs,
+                       horizon=preds[0].horizon)
+    return panel, PitSeries(model_id=model_id, origin_dates=dates, values=pits)
 
 
 def test_score_forecasts_assembles_aligned_panel():

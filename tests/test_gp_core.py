@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
-from scipy.linalg import cho_solve, qr
+from scipy.linalg import cho_factor, qr
 
 import bnpforecast.model_engine as me
 from bnpforecast.data_pipeline import PC_BASIS_RANK, DatasetSpec, ModelSpec
@@ -23,7 +23,7 @@ from bnpforecast.gp_core import (
     sample_tau2,
     squared_distances,
 )
-from conftest import dense_kernel, engine_conditional, run_chain_recording_f
+from conftest import dense_kernel, engine_conditional, engine_context, run_chain_recording_f
 
 
 def _kernel(X, hyper):
@@ -141,7 +141,8 @@ def test_projection_idempotent_symmetric():
     assert_allclose(P @ P, P, atol=1e-10)
     assert_allclose(P, P.T, atol=1e-12)
     assert_allclose(np.trace(P), 4.0, atol=1e-10)
-    assert_allclose(ctx.Q @ X, 0.0, atol=1e-10)
+    assert_allclose(X - P @ X, 0.0, atol=1e-10)
+    assert_allclose(ctx.U @ ctx.U.T, P, atol=1e-12)
 
 
 def test_projection_rejects_collinear_basis():
@@ -197,15 +198,19 @@ def test_projection_large_variant_uses_principal_components():
 
 
 def _shrunk_kernel(ctx, hyper, tau2):
-    """K1 from the engine's factor of A at zeta = 1/tau2, and log det A."""
+    """K1 as the covariance of the engine's draw of f given no data
+    (Sigma = inf, so the conditional is the prior), and log det A + log det K
+    from the engine's cached prior term."""
     T = ctx.T
-    _, cA, logdetA = me._a_pieces(ctx, hyper, 1.0 / tau2)
-    return cho_solve(cA, np.eye(T)), logdetA
+    zeta = 1.0 / tau2
+    _, _, K1 = engine_conditional("GPSub", None, np.zeros(T), np.full(T, np.inf),
+                                  hyper, zeta, ctx=ctx)
+    return K1, me._prior_logdet(ctx, ctx.kernel_pieces(hyper), zeta)
 
 
 def test_subspace_kernel_two_by_two_oracle():
     # X = (1, 0)': Phi0 = diag(1, 0), and K = [[xi, c], [c, xi]] with
-    # c = xi exp(-phi/2). At xi = 1/2, tau2 = 1 with d = 1/4 - c^2:
+    # c = xi exp(-phi/2). At xi = 1/2, tau2 = 1 with d = 1/4 - c^2 = det K:
     # A = K^-1 + diag(0, 1), det A = 3 / (2 d) and
     # K1 = [[(1/2 + d), c], [c, 1/2]] / (3/2)
     hyper = KernelHyper(0.5, 0.5)
@@ -213,9 +218,9 @@ def test_subspace_kernel_two_by_two_oracle():
     d = 0.25 - c * c
     ctx = _ctx([[1.0], [0.0]])
     assert_allclose(ctx.Phi0, np.diag([1.0, 0.0]), atol=1e-15)
-    K1, logdetA = _shrunk_kernel(ctx, hyper, 1.0)
+    K1, logdet_ak = _shrunk_kernel(ctx, hyper, 1.0)
     assert_allclose(K1, np.array([[0.5 + d, c], [c, 0.5]]) / 1.5, atol=1e-12)
-    assert_allclose(logdetA, np.log(1.5 / d), rtol=1e-12)
+    assert_allclose(logdet_ak - np.log(d), np.log(1.5 / d), rtol=1e-12)
 
 
 def test_subspace_kernel_large_tau2_recovers_kernel():
@@ -234,9 +239,10 @@ def test_subspace_kernel_full_projector_is_identity_map():
     X = rng.standard_normal((6, 2))
     hyper = KernelHyper(0.6, 0.5)
     ctx = _ctx(X)
-    ctx.Phi0, ctx.Q = np.eye(6), np.zeros((6, 6))
-    K1, _ = _shrunk_kernel(ctx, hyper, 0.01)
+    ctx.U = ctx.Phi0 = np.eye(6)
+    K1, logdet_ak = _shrunk_kernel(ctx, hyper, 0.01)
     assert_allclose(K1, dense_kernel(X, hyper), atol=1e-10)
+    assert abs(logdet_ak) < 1e-10
 
 
 def test_subspace_kernel_matches_direct_inverse():
@@ -248,9 +254,10 @@ def test_subspace_kernel_matches_direct_inverse():
     Q = qr(X, mode="economic")[0]
     tau2 = 0.7
     direct = np.linalg.inv(np.linalg.inv(K) + (np.eye(T) - Q @ Q.T) / tau2)
-    K1, logdetA = _shrunk_kernel(_ctx(X), hyper, tau2)
+    K1, logdet_ak = _shrunk_kernel(_ctx(X), hyper, tau2)
     assert_allclose(K1, direct, atol=1e-9)
-    assert_allclose(logdetA, -np.linalg.slogdet(direct)[1], rtol=1e-10)
+    assert_allclose(logdet_ak - np.linalg.slogdet(K)[1], -np.linalg.slogdet(direct)[1],
+                    rtol=1e-10)
 
 
 def test_chol_psd_failure_modes():
@@ -258,6 +265,11 @@ def test_chol_psd_failure_modes():
         chol_psd(np.full((3, 3), np.nan))
     with pytest.raises(SingularKernelError):
         chol_psd(-np.eye(3))
+    for bad in (np.nan, np.inf):  # one non-finite entry below the diagonal
+        M = np.eye(3)
+        M[2, 0] = bad
+        with pytest.raises(SingularKernelError):
+            chol_psd(M)
     c = chol_psd(np.eye(3))
     assert_allclose(np.tril(c[0]) @ np.tril(c[0]).T, np.eye(3), atol=1e-12)
     # rank-deficient PSD succeeds through the jitter ladder
@@ -265,6 +277,21 @@ def test_chol_psd_failure_modes():
     c = chol_psd(M)
     L = np.tril(c[0])
     assert np.max(np.abs(L @ L.T - M)) < 1e-3
+
+
+def test_chol_psd_is_scipy_cho_factor_bit_for_bit():
+    """``chol_psd`` factors through one ``dpotrf`` call, and on a kernel
+    that needs no jitter it returns exactly what scipy's ``cho_factor``
+    does, the untouched upper triangle included: the Linear mean block's
+    draws do not depend on which of the two factors K."""
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((193, 28))
+    K = _kernel(X, KernelHyper(0.6, 0.05))
+    c, lower = chol_psd(K)
+    want, want_lower = cho_factor(K, lower=True, check_finite=False)
+    assert lower and want_lower
+    assert c.dtype == want.dtype and np.array_equal(c, want)
+    assert not np.array_equal(np.triu(c, 1), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +335,10 @@ def test_sample_f_draw_distribution():
     Minv = np.linalg.inv(K1 + np.diag(s))
     fbar = K1 @ Minv @ y
     Vbar = K1 - K1 @ Minv @ K1
-    A = me._a_pieces(_ctx(X, "GP"), hyper, None)[0]
-    cP, _ = me._p_pieces(A, s)
+    ctx = engine_context("GP", X)
+    post = me._conditional(ctx, hyper, y, s, None)
     rng = np.random.default_rng(5)
-    sims = np.array([me._draw_f(y, s, cP, rng) for _ in range(4000)])
+    sims = np.array([me._draw_f(ctx, post, rng) for _ in range(4000)])
     assert np.max(np.abs(sims.mean(axis=0) - fbar)) < 0.05
     assert np.max(np.abs(np.cov(sims.T) - Vbar)) < 0.05
 

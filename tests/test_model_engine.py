@@ -46,7 +46,13 @@ from bnpforecast.model_engine import (
     uc_trend_update,
 )
 from bnpforecast.synthetic import synthetic_panel
-from conftest import UnitRng, ZeroRng, dense_kernel, engine_conditional, run_chain_recording_f
+from conftest import (
+    ZeroRng,
+    dense_kernel,
+    engine_conditional,
+    engine_context,
+    run_chain_recording_f,
+)
 
 DS_H1 = DatasetSpec(variant="Moderate", target_series="PRICE", horizon=1,
                     include_expectations=False)
@@ -366,12 +372,14 @@ def _rel(a, b):
 
 
 @pytest.mark.parametrize("mean_kind, tau2, tol", [
-    ("GP", None, 1e-10), ("GPSub", 0.7, 1e-10)])
+    ("GP", None, 1e-10), ("GPSub", 0.7, 1e-10), ("GPSub", 1e3, 1e-10),
+    ("GPSub", 1e-4, 1e-10)])
 def test_mean_block_matches_dense_oracle(mean_kind, tau2, tol):
-    """Collapsed likelihood, conditional mean and noise map of the
-    precision-form mean block against plain-inverse oracles with
-    heteroskedastic errors: log N(r; 0, K1 + Sigma) with
-    K1 = (K^-1 + zeta (I - Phi0))^-1, mean P^-1 Sigma^-1 r, and W W' = P^-1."""
+    """Collapsed likelihood, conditional mean and noise map of the mean
+    block against plain-inverse precision-form oracles with heteroskedastic
+    errors: log N(r; 0, K1 + Sigma) with K1 = (K^-1 + zeta (I - Phi0))^-1,
+    mean P^-1 Sigma^-1 r, and W W' = P^-1, at zeta = 1/tau^2 from 1e-3 to
+    1e4."""
     rng = np.random.default_rng(31)
     T, K = 25, 3
     X = rng.standard_normal((T, K))
@@ -379,14 +387,10 @@ def test_mean_block_matches_dense_oracle(mean_kind, tau2, tol):
     sigma = rng.uniform(0.1, 0.6, T)
     hyper = KernelHyper(xi=0.9, phi=0.6)
     zeta = None if tau2 is None else 1.0 / tau2
-    spec = ModelSpec(mean_kind, "Homosk", DS_H1)
-    ctx = me._GpContext(spec, WindowData(y=r, X=X, x_new=np.zeros(K), horizon=1))
+    ctx = engine_context(mean_kind, X)
     if zeta is not None:
-        me._a_pieces(ctx, hyper, 0.5 * zeta)  # the cached A must follow zeta
-
-    A, _, logdetA = me._a_pieces(ctx, hyper, zeta)
-    cP, logdetP = me._p_pieces(A, sigma)
-    ll = me._collapsed_loglik(r, sigma, logdetA, cP, logdetP)
+        me._conditional(ctx, hyper, r, sigma, 0.5 * zeta)  # the cached prior term must follow zeta
+    ll, fbar, cov = engine_conditional(mean_kind, X, r, sigma, hyper, zeta, ctx=ctx)
 
     Kinv = np.linalg.inv(dense_kernel(X, hyper))
     A_o = Kinv if zeta is None else Kinv + zeta * (np.eye(T) - ctx.Phi0)
@@ -397,12 +401,46 @@ def test_mean_block_matches_dense_oracle(mean_kind, tau2, tol):
     assert abs(ll - ll_o) / abs(ll_o) < tol
 
     Pinv = np.linalg.inv(A_o + np.diag(1.0 / sigma))
-    fbar_o = Pinv @ (r / sigma)
-    fbar = me._draw_f(r, sigma, cP, ZeroRng())
-    assert _rel(fbar, fbar_o) < tol
-    W = np.column_stack([me._draw_f(r, sigma, cP, UnitRng(i)) - fbar
-                         for i in range(T)])
-    assert _rel(W @ W.T, Pinv) < tol
+    assert _rel(fbar, Pinv @ (r / sigma)) < tol
+    assert _rel(cov, Pinv) < tol
+
+
+@pytest.mark.parametrize("mean_kind, zeta", [("GP", None), ("GPSub", 1.43)])
+def test_mean_block_exact_where_kernel_needs_jitter(mean_kind, zeta):
+    """At phi = 1e-4 the kernel is numerically singular, so its own factor
+    takes the jitter ladder: eps > 0 on its diagonal. The matrices the
+    likelihood and the mean factor (K + Sigma, K + D^-1 and I + zeta K) need
+    none, so both match the oracle to 1e-10. The covariance differs only by
+    the jitter in the prior draw g ~ N(0, K + eps I): (I - G) eps (I - G)'
+    with G = K (K + nI)^-1 under homoskedastic noise, at most eps
+    entrywise. The oracle K1 = K - KV (V'KV + I/zeta)^-1 V'K, with V
+    spanning I - Phi0, needs no K^-1."""
+    rng = np.random.default_rng(31)
+    T = 25
+    X = rng.standard_normal((T, 3))
+    r = np.tanh(X @ np.array([1.0, -0.6, 0.4])) + 0.5 * rng.standard_normal(T)
+    sigma = np.full(T, 0.25)
+    hyper = KernelHyper(xi=0.9, phi=1e-4)
+    ctx = engine_context(mean_kind, X)
+    ll, fbar, cov = engine_conditional(mean_kind, X, r, sigma, hyper, zeta, ctx=ctx)
+    Kmat = dense_kernel(X, hyper)
+    L = np.tril(ctx.kernel_pieces(hyper).chol_k())
+    eps = np.max(np.diag(L @ L.T) - np.diag(Kmat))
+    assert eps > 1e-12
+
+    K1 = Kmat
+    if zeta is not None:
+        V = np.linalg.svd(np.eye(T) - ctx.Phi0)[0][:, :T - 3]
+        KV = Kmat @ V
+        K1 = Kmat - KV @ np.linalg.solve(V.T @ KV + np.eye(T - 3) / zeta, KV.T)
+    C = K1 + np.diag(sigma)
+    _, logdetC = np.linalg.slogdet(C)
+    ll_o = -0.5 * (T * np.log(2 * np.pi) + logdetC + r @ np.linalg.solve(C, r))
+    assert abs(ll - ll_o) / abs(ll_o) < 1e-10
+    gain = K1 @ np.linalg.inv(C)
+    assert _rel(fbar, gain @ r) < 1e-10
+    cov_o = K1 - gain @ K1
+    assert np.max(np.abs(cov - cov_o)) <= eps + 1e-10 * np.max(np.abs(cov_o))
 
 
 def _mean_block_fixture(T=25):
@@ -540,13 +578,17 @@ def test_gp_mean_block_gets_it_right(monkeypatch, mean_kind, move_tau2):
     _mean_block_gets_it_right(monkeypatch, mean_kind, move_tau2)
 
 
-@pytest.mark.parametrize("mean_kind, budget", [("GP", 3), ("Linear", 4), ("GPSub", 5)])
+@pytest.mark.parametrize("mean_kind, budget", [("GP", 3), ("Linear", 1), ("GPSub", 5)])
 def test_sweep_factorization_budget(monkeypatch, mean_kind, budget):
     """A sweep with a new hyperparameter proposal factors only what its math
-    needs: P at the current and proposed hyper, K at the proposed one, A at
-    the proposed one unless A = K^-1 (GP), and A at the current one only when
-    tau^2 moved (GPSub). Linear's A and P are k x k, so K is its only T x T
-    factorization, and it forms no K^-1. No dense multi-column solve."""
+    needs, counted by size. T x T, at most ``budget``: GP factors K + Sigma
+    at the current and the proposed hyper; GPSub factors K + D^-1 and, as
+    tau^2 moved, I + zeta K at both; each factors K itself only when the
+    proposal is accepted, for the draw of f. Linear factors only the
+    proposal's K. k x k, at most 4: GPSub's U'B^-1 U and C at both hypers,
+    Linear's P at both and M at the proposal. No K^-1 is formed (no
+    ``dpotri``), and every ``dpotrs`` solves for one vector."""
+    n_kk = {"GP": 0, "Linear": 3, "GPSub": 4}[mean_kind]
     rng = np.random.default_rng(2)
     T = 40
     X = rng.standard_normal((T, 2))
@@ -559,9 +601,8 @@ def test_sweep_factorization_budget(monkeypatch, mean_kind, budget):
     step_rng = np.random.default_rng(3)
     mcmc_step(spec, data, state, step_rng, ctx)  # caches the current hyper
 
-    chol, sizes, solves, potri = [], [], [], []
-    orig_chol, orig_potrf = me.chol_psd, me.dpotrf
-    orig_solve, orig_potri = me.dpotrs, me.dpotri
+    chol, sizes, solves = [], [], []
+    orig_chol, orig_potrf, orig_solve = me.chol_psd, me.dpotrf, me.dpotrs
 
     def _chol(M, *a, **k):
         chol.append(k.get("what"))
@@ -573,23 +614,30 @@ def test_sweep_factorization_budget(monkeypatch, mean_kind, budget):
                         lambda M, **k: (sizes.append(np.shape(M)[0]), orig_potrf(M, **k))[1])
     monkeypatch.setattr(me, "dpotrs",
                         lambda c, b, **k: (solves.append(np.ndim(b)), orig_solve(c, b, **k))[1])
-    monkeypatch.setattr(me, "dpotri", lambda *a, **k: (potri.append(1), orig_potri(*a, **k))[1])
-    mcmc_step(spec, data, state, step_rng, ctx)
-    assert chol.count("kernel matrix") == 1  # the proposal's kernel, once
-    assert len(sizes) <= budget, sizes
+    assert not hasattr(me, "dpotri")
+    seen = set()
+    for _ in range(12):
+        chol.clear()
+        sizes.clear()
+        prev = state.hyper
+        mcmc_step(spec, data, state, step_rng, ctx)
+        accepted = state.hyper is not prev
+        seen.add(accepted)
+        kernel = 1 if mean_kind == "Linear" else int(accepted)
+        assert chol.count("kernel matrix") == kernel, (chol, accepted)
+        assert sizes.count(T) == (budget if mean_kind == "Linear" or accepted
+                                  else budget - 1), sizes
+        assert len(sizes) - sizes.count(T) == n_kk <= 4, sizes
+    assert seen == {True, False}
     assert solves and all(nd == 1 for nd in solves)
-    if mean_kind == "Linear":
-        assert sizes.count(T) == 1 and not potri, (sizes, potri)
-    else:
-        assert sizes.count(T) == len(sizes) and len(potri) == 1
 
 
 @pytest.mark.filterwarnings(SHORT_TRACE)
 @pytest.mark.parametrize("mean_kind", ["GP", "GPSub"])
 def test_forecast_cell_factors_only_inside_sweeps(monkeypatch, small_panel, mean_kind):
-    """In a whole cell, every factorization and every ``dpotri`` runs inside
+    """In a whole cell, every factorization, T x T and k x k, runs inside
     ``mcmc_step``: the origin moments and the predictive simulation reuse
-    the factors the sweeps left."""
+    the factor of K the sweeps' draws of f left."""
     depth, calls, outside = [0], [], []
     orig_step = me.mcmc_step
 
@@ -601,22 +649,23 @@ def test_forecast_cell_factors_only_inside_sweeps(monkeypatch, small_panel, mean
             depth[0] -= 1
 
     def watched(name, orig):
-        def call(*a, **k):
-            calls.append(name)
+        def call(M, *a, **k):
+            calls.append((name, np.shape(M)[0]))
             if not depth[0]:
                 outside.append(name)
-            return orig(*a, **k)
+            return orig(M, *a, **k)
         return call
 
     monkeypatch.setattr(me, "mcmc_step", step)
-    for name in ("chol_psd", "dpotrf", "dpotri"):
+    for name in ("chol_psd", "dpotrf"):
         monkeypatch.setattr(me, name, watched(name, getattr(me, name)))
     full = assemble_regression(small_panel, DS_H1, standardize=False)
     origin = int(full.origin_dates[-5])
     res = forecast_cell(ModelSpec(mean_kind, "Homosk", DS_H1), small_panel, origin,
                         McmcConfig(n_iter=60, n_burn=20), full, master_seed=5)
     assert np.all(np.isfinite(res.draws))
-    assert "chol_psd" in calls and "dpotri" in calls
+    names = {name for name, _ in calls}
+    assert names == ({"chol_psd", "dpotrf"} if mean_kind == "GPSub" else {"chol_psd"})
     assert outside == []
 
 

@@ -79,6 +79,18 @@ def test_every_export_exists(path):
     assert not missing, f"{path.name}: __all__ names {missing} are not defined"
 
 
+def test_mean_blocks_form_no_dense_inverse():
+    """``model_engine`` factors K plus a diagonal and never forms a T x T
+    inverse: it neither imports nor calls ``dpotri``, ``inv`` or ``pinv``."""
+    tree = _parse(PACKAGE / "model_engine.py")
+    banned = {"dpotri", "inv", "pinv"}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    called = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    called |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not imported & banned and not called & banned
+
+
 def test_config_dataclasses_match_schema():
     """Every ``McmcConfig`` field but the seed (which ``run`` derives per
     cell) is a key of the schema's ``mcmc`` object, and every ``RunConfig``

@@ -44,7 +44,7 @@ import sys
 import traceback
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,23 +84,11 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
-_DEFAULTS = {
-    "expectations": "INFEXP",
-    "include_expectations": True,
-    "datasets": ["Moderate"],
-    "models": ["all"],
-    "horizons": [1],
-    "mcmc": {},
-    "seed": 0,
-    "workers": 1,
-    "draws_format": "csv",
-    "min_train": 40,
-}
-
 
 @dataclass
 class RunConfig:
-    """Resolved experiment configuration."""
+    """Resolved experiment configuration; a field a config omits takes its
+    default here."""
 
     panel: str
     sidecar: str
@@ -117,7 +105,7 @@ class RunConfig:
     seed: int = 0
     workers: int = 1
     draws_format: str = "csv"
-    min_train: int = 40
+    min_train: int = MIN_TRAIN_QUARTERS
 
     def resolved_models(self) -> list[str]:
         grid = model_grid()
@@ -134,18 +122,6 @@ class RunConfig:
     def dataset_spec(self, variant: str, horizon: int) -> DatasetSpec:
         return dataset_spec(self.target, self.expectations, self.include_expectations,
                             variant, horizon)
-
-    def to_dict(self) -> dict:
-        return {
-            "panel": self.panel, "sidecar": self.sidecar, "target": self.target,
-            "out_dir": self.out_dir, "eval_start": self.eval_start,
-            "eval_end": self.eval_end, "expectations": self.expectations,
-            "include_expectations": self.include_expectations,
-            "datasets": list(self.datasets), "models": list(self.models),
-            "horizons": list(self.horizons), "mcmc": dict(self.mcmc),
-            "seed": self.seed, "workers": self.workers,
-            "draws_format": self.draws_format, "min_train": self.min_train,
-        }
 
 
 def dataset_spec(target: str, expectations: str | None, include_expectations: bool,
@@ -254,12 +230,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     if violation:
         where, message = violation
         raise ConfigError(f"config schema violation at {where or '/'}: {message}")
-    merged = dict(_DEFAULTS)
-    merged.update(raw)
-    try:
-        cfg = RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"bad configuration: {exc}")
+    cfg = RunConfig(**raw)  # the schema admits exactly RunConfig's fields
     for key in ("panel", "sidecar"):
         p = getattr(cfg, key)
         if not os.path.exists(p):
@@ -458,7 +429,7 @@ def _estimate_cell(task: dict) -> dict:
             "y_true": pred.y_true,
             "point": pred.point,
             "quantiles": {("%g" % p): q for p, q in sorted(pred.quantiles.items())},
-            "lpl": log_pred_likelihood(pred.components, pred.y_true),
+            "lpl": log_pred_likelihood(pred.mixture, pred.y_true),
             "sq_error": (pred.y_true - pred.point) ** 2,
             "qs": {("%g" % p): quantile_score(pred.y_true, pred.quantiles[p], p)
                    for p in sorted(pred.quantiles)},
@@ -582,7 +553,7 @@ def cmd_run(cfg: RunConfig) -> int:
                 results.setdefault(c.cell_id, {"status": "unfinished", "error": broken})
     manifest = {
         "version": __version__,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "cells": [],
     }
     failures = []

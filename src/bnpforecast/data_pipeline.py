@@ -201,6 +201,15 @@ class SeriesPanel:
                            [1] * len(self.names), dict(self.flags))
 
 
+def _price_span(panel: SeriesPanel, series: str) -> tuple[np.ndarray, np.ndarray]:
+    """The price series over its finite span, and the span's dates."""
+    prices = panel.column(series)
+    finite = np.isfinite(prices)
+    lo = int(np.argmax(finite))
+    hi = len(prices) - int(np.argmax(finite[::-1]))
+    return prices[lo:hi], panel.dates[lo:hi]
+
+
 def build_target(prices: np.ndarray, horizon: int) -> np.ndarray:
     """Annualized h-quarter log change: (400/h) * ln(P_{t+h}/P_t).
 
@@ -294,11 +303,7 @@ def design_matrix(panel: SeriesPanel, spec: DatasetSpec):
     i.e. the h-quarter annualized log price change ending at the row date.
     """
     if spec.variant == "AR1":
-        prices = panel.column(spec.target_series)
-        finite = np.isfinite(prices)
-        lo = int(np.argmax(finite))
-        hi = len(prices) - int(np.argmax(finite[::-1]))
-        p, pdates = prices[lo:hi], panel.dates[lo:hi]
+        p, pdates = _price_span(panel, spec.target_series)
         past = build_target(p, spec.horizon)
         return pdates[spec.horizon:], past[:, None], ["TARGET_LAG"]
     z = panel.transformed()
@@ -320,11 +325,7 @@ def assemble_regression(panel: SeriesPanel, spec: DatasetSpec, *,
     ``standardize`` centers/scales predictor columns using the retained
     rows only; the moments are stored on the result.
     """
-    prices = panel.column(spec.target_series)
-    finite = np.isfinite(prices)
-    lo = int(np.argmax(finite))
-    hi = len(prices) - int(np.argmax(finite[::-1]))
-    p, pdates = prices[lo:hi], panel.dates[lo:hi]
+    p, pdates = _price_span(panel, spec.target_series)
     if p.size <= spec.horizon:
         raise AlignmentError(f"{spec.target_series}: too short for horizon {spec.horizon}")
     y_full = build_target(p, spec.horizon)
@@ -463,12 +464,12 @@ class ModelSpec:
 
 @dataclass
 class McmcConfig:
-    """Chain length, seeding, and proposal-adaptation settings."""
+    """Chain length and proposal-adaptation settings; each cell's seed comes
+    from the run's master seed (``derive_cell_seed``)."""
 
     n_iter: int = 20000
     n_burn: int = 10000
     thin: int = 1
-    seed: int | None = None
     adapt_window: int = 25
     hyper_step: float = 0.3
     alpha_step: float = 0.5
@@ -484,9 +485,9 @@ class McmcConfig:
         return (self.n_iter - self.n_burn + self.thin - 1) // self.thin
 
 
-def model_grid(mean_kinds=MEAN_KINDS, error_kinds=ERROR_KINDS) -> list[str]:
+def model_grid() -> list[str]:
     """All mean x error identifiers, benchmark (UC-SV) included."""
-    return [f"{m}-{e}" for m in mean_kinds for e in error_kinds]
+    return [f"{m}-{e}" for m in MEAN_KINDS for e in ERROR_KINDS]
 
 
 def derive_cell_seed(master_seed: int, model_id: str, dataset: str, horizon: int,
@@ -498,11 +499,7 @@ def derive_cell_seed(master_seed: int, model_id: str, dataset: str, horizon: int
 
 def assemble_target_only(panel, dspec: DatasetSpec) -> RegressionData:
     """Target series alone (no predictors), for the trend benchmark."""
-    prices = panel.column(dspec.target_series)
-    finite = np.isfinite(prices)
-    lo = int(np.argmax(finite))
-    hi = len(prices) - int(np.argmax(finite[::-1]))
-    p, pdates = prices[lo:hi], panel.dates[lo:hi]
+    p, pdates = _price_span(panel, dspec.target_series)
     y = build_target(p, dspec.horizon)
     return RegressionData(y, np.empty((y.size, 0)), pdates[:-dspec.horizon],
                           dspec.horizon, [])

@@ -5,7 +5,9 @@ Dirichlet-process mixture of Gaussians (stick-breaking weights, slice
 sampling with the deterministic sequence pi_j = (1-kappa) kappa^(j-1)),
 stochastic volatility (AR(1) log variance sampled through the standard
 log-chi-squared Gaussian-mixture approximation), and the hybrid carrying
-mixture means with a common SV variance.
+mixture means with a common SV variance, under the priors ``DPM_PRIORS``
+and ``SV_PRIORS``. ``ffbs``, the scalar state-path sampler, draws both the
+SV log-variance path and the UC trend (``model_engine.uc_trend_update``).
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ __all__ = [
     "ErrorState",
     "DpmPriors",
     "SvPriors",
+    "DPM_PRIORS",
+    "SV_PRIORS",
     "slice_sequence",
     "stick_to_weights",
     "stick_beta_params",
@@ -37,6 +41,7 @@ __all__ = [
     "sample_component_means",
     "sample_component_vars",
     "sample_homosk_var",
+    "ffbs",
     "sv_update",
     "error_variance_diag",
     "error_sweep",
@@ -74,6 +79,10 @@ class SvPriors:
     rho_b: float = 5.0
     sig_shape: float = 0.5
     sig_rate: float = 0.5
+
+
+DPM_PRIORS = DpmPriors()
+SV_PRIORS = SvPriors()
 
 
 @dataclass
@@ -168,9 +177,9 @@ class ErrorState:
             self.sv.validate()
 
 
-def slice_sequence(J: int, kappa: float = KAPPA) -> np.ndarray:
+def slice_sequence(J: int) -> np.ndarray:
     """Deterministic slice bounds pi_j = (1-kappa) kappa^(j-1), j = 1..J."""
-    return (1.0 - kappa) * kappa ** np.arange(J)
+    return (1.0 - KAPPA) * KAPPA ** np.arange(J)
 
 
 def stick_to_weights(sticks: np.ndarray) -> np.ndarray:
@@ -196,17 +205,16 @@ def sample_sticks(alloc: np.ndarray, alpha: float, J: int, rng: np.random.Genera
     return sticks
 
 
-def _slice_coverage_level(min_u: float, kappa: float) -> int:
+def _slice_coverage_level(min_u: float) -> int:
     """Smallest J with pi_{J+1} <= min_u, i.e. every reachable component exists."""
-    if min_u >= (1.0 - kappa):
+    if min_u >= (1.0 - KAPPA):
         return 1
     # (1-kappa) kappa^J <= min_u
-    J = math.ceil(math.log(min_u / (1.0 - kappa)) / math.log(kappa))
+    J = math.ceil(math.log(min_u / (1.0 - KAPPA)) / math.log(KAPPA))
     return max(1, J)
 
 
-def _grow_components(state: DpmState, target_J: int, priors: DpmPriors,
-                     rng: np.random.Generator) -> DpmState:
+def _grow_components(state: DpmState, target_J: int, rng: np.random.Generator) -> DpmState:
     """Extend the truncated representation with fresh prior components.
 
     The forced last stick is first re-drawn from its Beta full conditional
@@ -229,18 +237,18 @@ def _grow_components(state: DpmState, target_J: int, priors: DpmPriors,
     sticks = np.concatenate([sticks, new_sticks])
     sticks[-1] = 1.0
     mean = np.concatenate([state.comp_mean,
-                           rng.normal(0.0, math.sqrt(priors.mean_var), size=n_new)])
+                           rng.normal(0.0, math.sqrt(DPM_PRIORS.mean_var), size=n_new)])
     var = None
     if state.comp_var is not None:
         var = np.concatenate([state.comp_var,
-                              1.0 / rng.gamma(priors.prec_shape, 1.0 / priors.prec_rate, size=n_new)])
+                              1.0 / rng.gamma(DPM_PRIORS.prec_shape, 1.0 / DPM_PRIORS.prec_rate,
+                                              size=n_new)])
     return replace(state, sticks=sticks, weights=stick_to_weights(sticks),
                    comp_mean=mean, comp_var=var)
 
 
 def sample_slice_and_alloc(resid: np.ndarray, state: DpmState, rng: np.random.Generator,
-                           kappa: float = KAPPA, sv_var: np.ndarray | None = None,
-                           priors: DpmPriors = DpmPriors()) -> DpmState:
+                           sv_var: np.ndarray | None = None) -> DpmState:
     """Slice variables then cluster allocations.
 
     u_t ~ U(0, pi_{delta_t}); components reachable under the new slices but
@@ -251,12 +259,12 @@ def sample_slice_and_alloc(resid: np.ndarray, state: DpmState, rng: np.random.Ge
     """
     resid = np.asarray(resid, dtype=float)
     T = resid.size
-    pw = slice_sequence(state.J, kappa)
+    pw = slice_sequence(state.J)
     u = rng.uniform(0.0, pw[state.alloc])
     u = np.maximum(u, 1e-300)
-    state = _grow_components(state, _slice_coverage_level(float(u.min()), kappa), priors, rng)
+    state = _grow_components(state, _slice_coverage_level(float(u.min())), rng)
     J = state.J
-    pw = slice_sequence(J, kappa)
+    pw = slice_sequence(J)
     var = sv_var if sv_var is not None else state.comp_var
     if sv_var is not None:
         v = np.broadcast_to(np.asarray(var, dtype=float)[:, None], (T, J))
@@ -290,8 +298,7 @@ def truncation_level(weights: np.ndarray, slice_u: np.ndarray) -> int:
     return w.size
 
 
-def update_truncation(state: DpmState, rng: np.random.Generator,
-                      priors: DpmPriors = DpmPriors(), cap: int = TRUNCATION_CAP) -> DpmState:
+def update_truncation(state: DpmState, rng: np.random.Generator) -> DpmState:
     """Adapt the truncation level to the weight-tail rule.
 
     The level never drops below the highest occupied component; growth adds
@@ -300,11 +307,11 @@ def update_truncation(state: DpmState, rng: np.random.Generator,
     J_rule = truncation_level(state.weights, state.slice_u)
     occupied = int(state.alloc.max()) + 1
     J_new = max(J_rule, occupied)
-    if J_new > cap:
-        warnings.warn(f"mixture truncation capped at {cap} components")
-        J_new = cap
+    if J_new > TRUNCATION_CAP:
+        warnings.warn(f"mixture truncation capped at {TRUNCATION_CAP} components")
+        J_new = TRUNCATION_CAP
     if J_new > state.J:
-        return _grow_components(state, J_new, priors, rng)
+        return _grow_components(state, J_new, rng)
     if J_new == state.J:
         return state
     sticks = state.sticks[:J_new].copy()
@@ -315,7 +322,7 @@ def update_truncation(state: DpmState, rng: np.random.Generator,
 
 
 def sample_alpha(sticks: np.ndarray, alpha: float, rng: np.random.Generator,
-                 priors: DpmPriors = DpmPriors(), step: float = 0.5) -> tuple[float, bool]:
+                 step: float = 0.5) -> tuple[float, bool]:
     """Random-walk MH on log(alpha).
 
     Target: Gamma(alpha_shape, alpha_rate) prior times the Beta(1, alpha)
@@ -329,7 +336,7 @@ def sample_alpha(sticks: np.ndarray, alpha: float, rng: np.random.Generator,
     def logpost(a: float) -> float:
         # includes the log-scale Jacobian
         return (n_free * math.log(a) + (a - 1.0) * log1m
-                + priors.alpha_shape * math.log(a) - priors.alpha_rate * a)
+                + DPM_PRIORS.alpha_shape * math.log(a) - DPM_PRIORS.alpha_rate * a)
 
     prop = alpha * math.exp(step * rng.standard_normal())
     if math.log(rng.uniform()) < logpost(prop) - logpost(alpha):
@@ -338,7 +345,6 @@ def sample_alpha(sticks: np.ndarray, alpha: float, rng: np.random.Generator,
 
 
 def sample_component_means(resid: np.ndarray, state: DpmState, rng: np.random.Generator,
-                           priors: DpmPriors = DpmPriors(),
                            sv_var: np.ndarray | None = None) -> np.ndarray:
     """Conjugate Gaussian update of each component mean.
 
@@ -356,14 +362,14 @@ def sample_component_means(resid: np.ndarray, state: DpmState, rng: np.random.Ge
         counts = np.bincount(state.alloc, minlength=J).astype(float)
         prec_sum = counts / state.comp_var
         mean_sum = np.bincount(state.alloc, weights=resid, minlength=J) / state.comp_var
-    post_prec = prec_sum + 1.0 / priors.mean_var
+    post_prec = prec_sum + 1.0 / DPM_PRIORS.mean_var
     post_var = 1.0 / post_prec
     post_mean = post_var * mean_sum
     return post_mean + np.sqrt(post_var) * rng.standard_normal(J)
 
 
-def sample_component_vars(resid: np.ndarray, state: DpmState, rng: np.random.Generator,
-                          priors: DpmPriors = DpmPriors()) -> np.ndarray:
+def sample_component_vars(resid: np.ndarray, state: DpmState,
+                          rng: np.random.Generator) -> np.ndarray:
     """Exact conjugate inverse-Gamma update of each component variance.
 
     sigma2_j ~ InvGamma(c0 + T_j/2, c1 + SSR_j/2); empty components draw
@@ -374,8 +380,8 @@ def sample_component_vars(resid: np.ndarray, state: DpmState, rng: np.random.Gen
     counts = np.bincount(state.alloc, minlength=J).astype(float)
     dev = resid - state.comp_mean[state.alloc]
     ssr = np.bincount(state.alloc, weights=dev * dev, minlength=J)
-    shape = priors.prec_shape + 0.5 * counts
-    rate = priors.prec_rate + 0.5 * ssr
+    shape = DPM_PRIORS.prec_shape + 0.5 * counts
+    rate = DPM_PRIORS.prec_rate + 0.5 * ssr
     return rate / rng.gamma(shape, 1.0, size=J)
 
 
@@ -406,44 +412,49 @@ def _sv_indicators(ystar: np.ndarray, h: np.ndarray, rng: np.random.Generator) -
     return np.argmax(logp + rng.gumbel(size=logp.shape), axis=1)
 
 
-def _sv_ffbs(ystar: np.ndarray, s: np.ndarray, mu: float, rho: float, q: float,
-             rng: np.random.Generator, return_moments: bool = False):
-    """Forward filter, backward sample of the log-variance path.
+def ffbs(obs: np.ndarray, v: np.ndarray, a0: float, R0: float, mu: float, rho: float,
+         q: float, rng: np.random.Generator) -> np.ndarray:
+    """Forward filter, backward sample (Carter & Kohn 1994) of a scalar
+    Gaussian state path.
 
-    Observation: ystar_t = h_t + m_{s_t} + N(0, v_{s_t}); state AR(1) with
-    stationary initial distribution. The recursions run on Python floats,
-    which round each operation exactly as numpy's float64 scalars do.
+    State x_t = mu + rho (x_{t-1} - mu) + N(0, q) with x_1 ~ N(a0, R0);
+    observation obs_t = x_t + N(0, v_t). The recursions run on Python
+    floats, which round each operation exactly as numpy's float64 scalars
+    do. At mu = 0 and rho = 1 (a random walk) the extra operations are
+    exact, so the path is the one a random-walk recursion gives bit for bit.
     """
-    T = ystar.size
+    T = len(obs)
+    obs = np.asarray(obs, dtype=float).tolist()
+    v = np.asarray(v, dtype=float).tolist()
     mu, rho, q = float(mu), float(rho), float(q)
-    obs = (ystar - _SV_M[s]).tolist()
-    v = _SV_V[s].tolist()
+    rho2 = rho * rho
     m = [0.0] * T
     C = [0.0] * T
-    a = mu
-    R = q / (1.0 - rho * rho)
+    a, R = float(a0), float(R0)
     for t in range(T):
         if t > 0:
             a = mu + rho * (m[t - 1] - mu)
-            R = rho * rho * C[t - 1] + q
+            R = rho2 * C[t - 1] + q
         gain = R / (R + v[t])
         m[t] = a + gain * (obs[t] - a)
         C[t] = (1.0 - gain) * R
-    h = [0.0] * T
+    x = [0.0] * T
     z = rng.standard_normal(T).tolist()
-    h[-1] = m[-1] + math.sqrt(max(C[-1], 0.0)) * z[-1]
-    back_mean = [0.0] * T
-    back_var = [0.0] * T
-    back_mean[-1], back_var[-1] = m[-1], C[-1]
+    x[-1] = m[-1] + math.sqrt(max(C[-1], 0.0)) * z[-1]
+    rho2_q = rho2 / q
+    shift = mu * (1.0 - rho)
     for t in range(T - 2, -1, -1):
-        prec = 1.0 / C[t] + rho * rho / q
-        var = 1.0 / prec
-        mean = var * (m[t] / C[t] + rho * (h[t + 1] - mu * (1.0 - rho)) / q)
-        h[t] = mean + math.sqrt(var) * z[t]
-        back_mean[t], back_var[t] = mean, var
-    if return_moments:
-        return np.array(h), np.array(back_mean), np.array(back_var)
-    return np.array(h)
+        var = 1.0 / (1.0 / C[t] + rho2_q)
+        mean = var * (m[t] / C[t] + rho * (x[t + 1] - shift) / q)
+        x[t] = mean + math.sqrt(var) * z[t]
+    return np.array(x)
+
+
+def _sv_ffbs(ystar: np.ndarray, s: np.ndarray, mu: float, rho: float, q: float,
+             rng: np.random.Generator) -> np.ndarray:
+    """The log-variance path given the mixture indicators s: ystar_t = h_t +
+    m_{s_t} + N(0, v_{s_t}), with h from its stationary AR(1) start."""
+    return ffbs(ystar - _SV_M[s], _SV_V[s], mu, q / (1.0 - rho * rho), mu, rho, q, rng)
 
 
 # Exact ports of scipy 1.17's truncnorm.rvs, beta.logpdf and geninvgauss.rvs
@@ -555,7 +566,7 @@ def _gig_rvs(p: float, b: float, scale: float, rng: np.random.Generator) -> floa
     return float(x * scale)
 
 
-def _sv_params(h: np.ndarray, state: SvState, priors: SvPriors,
+def _sv_params(h: np.ndarray, state: SvState,
                rng: np.random.Generator) -> tuple[float, float, float]:
     """One Gibbs/MH pass over (mu_h, rho_h, sig2_h) given the log-variance path.
 
@@ -567,6 +578,7 @@ def _sv_params(h: np.ndarray, state: SvState, priors: SvPriors,
     for draw.
     """
     T = h.size
+    priors = SV_PRIORS
     mu, rho, q = state.mu_h, state.rho_h, state.sig2_h
 
     # mu_h | h, rho, q  (Gaussian)
@@ -601,8 +613,7 @@ def _sv_params(h: np.ndarray, state: SvState, priors: SvPriors,
     return mu, rho, max(q_new, 1e-12)
 
 
-def sv_update(resid: np.ndarray, state: SvState, rng: np.random.Generator,
-              priors: SvPriors = SvPriors(), update_params: bool = True) -> SvState:
+def sv_update(resid: np.ndarray, state: SvState, rng: np.random.Generator) -> SvState:
     """One volatility sweep: mixture indicators, FFBS path, AR(1) parameters.
 
     Inputs are raw residuals (SV) or residuals net of component means
@@ -612,9 +623,7 @@ def sv_update(resid: np.ndarray, state: SvState, rng: np.random.Generator,
     ystar = np.log(np.maximum(resid * resid, LOG_RESID_FLOOR))
     s = _sv_indicators(ystar, state.h, rng)
     h = _sv_ffbs(ystar, s, state.mu_h, state.rho_h, state.sig2_h, rng)
-    if not update_params:
-        return replace(state, h=h)
-    mu, rho, q = _sv_params(h, replace(state, h=h), priors, rng)
+    mu, rho, q = _sv_params(h, state, rng)
     return SvState(h=h, mu_h=mu, rho_h=rho, sig2_h=q)
 
 
@@ -635,7 +644,6 @@ def error_mean_offsets(state: ErrorState, T: int) -> np.ndarray:
 
 
 def error_sweep(state: ErrorState, resid: np.ndarray, rng: np.random.Generator,
-                dpm_priors: DpmPriors = DpmPriors(), sv_priors: SvPriors = SvPriors(),
                 alpha_step: float = 0.5) -> tuple[ErrorState, bool | None]:
     """One full error-block Gibbs sweep given current residuals.
 
@@ -643,33 +651,30 @@ def error_sweep(state: ErrorState, resid: np.ndarray, rng: np.random.Generator,
     was accepted (None otherwise).
     """
     resid = np.asarray(resid, dtype=float)
-    T = resid.size
-    alpha_accepted: bool | None = None
     if state.kind == "Homosk":
         sigma2 = sample_homosk_var(resid, state.sigma2_prior, rng)
         return replace(state, sigma2=sigma2), None
     if state.kind == "SV":
-        return replace(state, sv=sv_update(resid, state.sv, rng, sv_priors)), None
+        return replace(state, sv=sv_update(resid, state.sv, rng)), None
 
     dpm = state.dpm
     sticks = sample_sticks(dpm.alloc, dpm.alpha, dpm.J, rng)
     dpm = replace(dpm, sticks=sticks, weights=stick_to_weights(sticks))
     sv_var = np.exp(state.sv.h) if state.kind == "DPMSV" else None
-    dpm = sample_slice_and_alloc(resid, dpm, rng, sv_var=sv_var, priors=dpm_priors)
-    alpha, alpha_accepted = sample_alpha(dpm.sticks, dpm.alpha, rng, dpm_priors, alpha_step)
+    dpm = sample_slice_and_alloc(resid, dpm, rng, sv_var=sv_var)
+    alpha, alpha_accepted = sample_alpha(dpm.sticks, dpm.alpha, rng, alpha_step)
     dpm = replace(dpm, alpha=alpha)
-    dpm = replace(dpm, comp_mean=sample_component_means(resid, dpm, rng, dpm_priors, sv_var=sv_var))
+    dpm = replace(dpm, comp_mean=sample_component_means(resid, dpm, rng, sv_var=sv_var))
     sv = state.sv
     if state.kind == "DPM":
-        dpm = replace(dpm, comp_var=sample_component_vars(resid, dpm, rng, dpm_priors))
+        dpm = replace(dpm, comp_var=sample_component_vars(resid, dpm, rng))
     else:
-        sv = sv_update(resid - dpm.comp_mean[dpm.alloc], sv, rng, sv_priors)
-    dpm = update_truncation(dpm, rng, dpm_priors)
+        sv = sv_update(resid - dpm.comp_mean[dpm.alloc], sv, rng)
+    dpm = update_truncation(dpm, rng)
     return replace(state, dpm=dpm, sv=sv), alpha_accepted
 
 
-def init_error_state(kind: str, T: int, resid_var: float,
-                     dpm_priors: DpmPriors = DpmPriors()) -> ErrorState:
+def init_error_state(kind: str, T: int, resid_var: float) -> ErrorState:
     """Neutral starting state: one mixture cluster, flat log-volatility."""
     state = ErrorState(kind=kind)
     if kind == "Homosk":
@@ -678,7 +683,7 @@ def init_error_state(kind: str, T: int, resid_var: float,
     if kind in ("DPM", "DPMSV"):
         var = None
         if kind == "DPM":
-            var = np.array([dpm_priors.prec_rate / dpm_priors.prec_shape])
+            var = np.array([DPM_PRIORS.prec_rate / DPM_PRIORS.prec_shape])
         state.dpm = DpmState(
             sticks=np.array([1.0]), weights=np.array([1.0]),
             alloc=np.zeros(T, dtype=int),

@@ -100,33 +100,6 @@ def quantile_score(y: float, q: float, p: float) -> float:
     return (y - q) * (p - (1.0 if y <= q else 0.0))
 
 
-def _flatten_components(draw_components):
-    """Expand per-draw predictive components into flat (logw, mean, var) arrays.
-
-    Accepts per draw either a scalar triple (mean, offset, variance) or a
-    weighted mixture (mean, offsets, variances, weights).
-    """
-    logw, means, vars_ = [], [], []
-    n = len(draw_components)
-    if n == 0:
-        raise ValueError("at least one predictive draw required")
-    for comp in draw_components:
-        if len(comp) == 3:
-            m, off, v = comp
-            logw.append(np.zeros(1))
-            means.append(np.atleast_1d(np.asarray(m, float) + np.asarray(off, float)))
-            vars_.append(np.atleast_1d(np.asarray(v, float)))
-        else:
-            m, off, v, w = comp
-            w = np.asarray(w, dtype=float)
-            with np.errstate(divide="ignore"):
-                logw.append(np.log(w / w.sum()))
-            means.append(np.asarray(m, float) + np.asarray(off, float))
-            vars_.append(np.broadcast_to(np.asarray(v, float), w.shape))
-    return (np.concatenate(logw) - math.log(n), np.concatenate(means),
-            np.concatenate(vars_))
-
-
 def _logsumexp(a: np.ndarray) -> float:
     """log(sum(exp(a))) for a non-empty 1-D float array, rounded as scipy
     1.17's ``special.logsumexp`` rounds it: log1p(s/m) + log(m) + max, where
@@ -142,14 +115,18 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(out)
 
 
-def log_pred_likelihood(draw_components, y: float) -> float:
+def log_pred_likelihood(mixture, y: float) -> float:
     """Log of the draw-averaged Gaussian mixture density at the outcome.
 
-    Each retained draw contributes its analytic predictive density (a
-    weight mixture of Gaussians for the nonparametric error kinds);
-    evaluation is in log space throughout.
+    ``mixture`` is a predictive's flat (log weights, means, variances)
+    arrays, ``PredictiveDraws.mixture``: each retained draw's analytic
+    predictive density (a weight mixture of Gaussians for the
+    nonparametric error kinds), its log weights less log n for n draws.
+    Evaluation is in log space throughout.
     """
-    logw, means, vars_ = _flatten_components(draw_components)
+    logw, means, vars_ = (np.asarray(a, dtype=float) for a in mixture)
+    if means.size == 0:
+        raise ValueError("at least one predictive component required")
     dev = float(y) - means
     zero = vars_ <= 0.0
     if np.any(zero):
@@ -223,12 +200,12 @@ def cumulative_path(scores: np.ndarray, benchmark_scores: np.ndarray,
 
 
 def subsample_average(dates: np.ndarray, scores: np.ndarray,
-                      benchmark_scores: np.ndarray,
-                      windows=SUBSAMPLE_WINDOWS) -> dict[str, float]:
+                      benchmark_scores: np.ndarray) -> dict[str, float]:
     """Per-window ratios of mean scores against the benchmark.
 
-    Windows are (label, start, end) with inclusive quarter bounds on the
-    outcome dates; empty windows are omitted with a warning.
+    The windows are ``SUBSAMPLE_WINDOWS``, (label, start, end) with
+    inclusive quarter bounds on the outcome dates; empty windows are
+    omitted with a warning.
     """
     dates = np.asarray(dates)
     s = np.asarray(scores, dtype=float)
@@ -236,9 +213,8 @@ def subsample_average(dates: np.ndarray, scores: np.ndarray,
     if s.size != b.size or s.size != dates.size:
         raise AlignmentError("subsample averages require aligned series")
     out: dict[str, float] = {}
-    for label, start, end in windows:
-        lo = parse_quarter(start) if isinstance(start, str) else start
-        hi = parse_quarter(end) if isinstance(end, str) else end
+    for label, start, end in SUBSAMPLE_WINDOWS:
+        lo, hi = parse_quarter(start), parse_quarter(end)
         mask = (dates >= lo) & (dates <= hi)
         if not np.any(mask):
             warnings.warn(f"subsample window {label} contains no origins; omitted")
@@ -254,20 +230,17 @@ def kolmogorov_halfwidth(n: int, level: float = 0.05) -> float:
     return math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(n)
 
 
-def rs_diagnostic(pits: np.ndarray | PitSeries, grid: np.ndarray | None = None,
-                  level: float = 0.05):
+def rs_diagnostic(pits: np.ndarray | PitSeries):
     """QQ points of the PIT empirical CDF against the uniform, with a band.
 
-    Returns (grid, empirical CDF at grid, band half-width): calibrated
-    forecasts keep the empirical CDF within +/- the half-width of the 45
-    degree line.
+    Returns (grid, empirical CDF at grid, band half-width) on the grid
+    0, 0.01, ..., 1 with the 5% band: calibrated forecasts keep the
+    empirical CDF within +/- the half-width of the 45 degree line.
     """
     v = pits.values if isinstance(pits, PitSeries) else np.asarray(pits, dtype=float)
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(0.0, 1.0, 101)
     ecdf = np.array([np.mean(v <= r) for r in grid])
-    return grid, ecdf, kolmogorov_halfwidth(v.size, level)
+    return grid, ecdf, kolmogorov_halfwidth(v.size)
 
 
 # ---------------------------------------------------------------------------

@@ -81,13 +81,14 @@ def cho_factor(M: np.ndarray):
     return c, True
 
 
-def chol_psd(M: np.ndarray, scale: float | None = None, what: str = "matrix"):
+def chol_psd(M: np.ndarray, what: str = "matrix"):
     """Lower Cholesky factor with escalating diagonal jitter.
 
-    Jitter starts at 1e-8*scale and grows tenfold to 1e-4*scale (scale
-    defaults to the largest diagonal entry) before raising.
+    Jitter starts at 1e-8*scale and grows tenfold to 1e-4*scale, with scale
+    the largest diagonal entry, before raising.
     """
     M = np.asarray(M, dtype=float)
+    scale = None
     for rel in _JITTERS:
         Mj = M
         if rel:
@@ -151,17 +152,22 @@ class AdaptiveStep:
     """Random-walk scale tuned toward a target acceptance rate.
 
     Adapts in windows during burn-in; call freeze() at the end of burn-in
-    to pin the scale for the retained draws.
+    to pin the scale for the retained draws. ``n_tries`` and ``n_accepts``
+    count every move, frozen or not.
     """
 
     step: float = 0.3
     target: float = 0.3
     window: int = 25
     frozen: bool = False
+    n_tries: int = 0
+    n_accepts: int = 0
     _tries: int = 0
     _accepts: int = 0
 
     def update(self, accepted: bool) -> None:
+        self.n_tries += 1
+        self.n_accepts += bool(accepted)
         if self.frozen:
             return
         self._tries += 1
@@ -177,13 +183,14 @@ class AdaptiveStep:
 
 
 def sample_kernel_hyper(current: KernelHyper, loglik, rng: np.random.Generator,
-                        step: float = 0.3, loglik_current: float | None = None):
+                        step: float, loglik_current: float):
     """Joint random-walk MH update of (xi, phi) on the logit scale.
 
     ``loglik`` maps (xi, phi) to the log likelihood of the data with the
-    latent function integrated out under the current error state. The
-    Uniform(0,1) priors contribute the logit Jacobian. Returns
-    (hyper, accepted, loglik_at_hyper).
+    latent function integrated out under the current error state, and
+    ``loglik_current`` is its value at ``current``. The Uniform(0,1) priors
+    contribute the logit Jacobian. Returns (hyper, accepted,
+    loglik_at_hyper).
     """
     th = np.array([logit(current.xi), logit(current.phi)])
     prop = th + step * rng.standard_normal(2)
@@ -191,8 +198,6 @@ def sample_kernel_hyper(current: KernelHyper, loglik, rng: np.random.Generator,
     # clamp away from exact 0/1 produced by extreme proposals
     xi_p = min(max(xi_p, 1e-12), 1.0 - 1e-12)
     phi_p = min(max(phi_p, 1e-12), 1.0 - 1e-12)
-    if loglik_current is None:
-        loglik_current = float(loglik(current.xi, current.phi))
     ll_prop = float(loglik(xi_p, phi_p))
 
     def _log_jac(a: float, b: float) -> float:

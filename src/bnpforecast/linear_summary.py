@@ -229,7 +229,6 @@ def quantile_r2(Qp: np.ndarray, X: np.ndarray, beta: np.ndarray) -> float:
 
 
 def fit_quantile_paths(paths: QuantilePathSet, X_raw: np.ndarray,
-                       lambda_grid: np.ndarray | None = None,
                        folds: int = 5) -> dict[float, LassoFit]:
     """Standardize predictors over the path window and fit one LASSO per p."""
     X = np.asarray(X_raw, dtype=float)
@@ -241,8 +240,7 @@ def fit_quantile_paths(paths: QuantilePathSet, X_raw: np.ndarray,
         q = paths.column(p)
         center = float(q.mean())
         qc = q - center
-        grid = default_lambda_grid(qc, Xs) if lambda_grid is None else lambda_grid
-        lam = cross_validate(qc, Xs, grid, folds=folds)
+        lam = cross_validate(qc, Xs, default_lambda_grid(qc, Xs), folds=folds)
         beta = lasso_fit(qc, Xs, lam)
         fits[p] = LassoFit(beta=beta, lam=lam, r2=quantile_r2(q, Xs, beta),
                            intercept=center, p=p)

@@ -30,13 +30,15 @@ block's moments at the forecast origin, all that ``predictive_simulate``
 reads of it; for GP and GPSub these are two triangular solves against the
 factor of K that the sweep's draw of f left (``_GpContext.origin_moments``),
 so nothing is factored outside the sweeps.
+``forecast_cell`` is the one place a cell's seed is derived; ``run_chain``
+runs on the generator it is given, with the one window context it builds.
 """
 from __future__ import annotations
 
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import qr
@@ -62,6 +64,7 @@ from .error_models import (
     error_mean_offsets,
     error_sweep,
     error_variance_diag,
+    ffbs,
     init_error_state,
 )
 from .evaluation import P_GRID
@@ -160,21 +163,25 @@ class PosteriorDraws:
     err_vars: list | None
     ifs: dict[str, float]
     accept: dict[str, float]
-    seed: int | None
     runtime: float
     n_retained: int
 
 
 @dataclass
 class PredictiveDraws:
-    """Simulated h-step-ahead outcome draws at one forecast origin."""
+    """Simulated h-step-ahead outcome draws at one forecast origin.
+
+    ``mixture`` is the predictive density as one Gaussian mixture over the
+    components of every retained draw: flat arrays (log weights, means,
+    variances), each draw's log weights less log n for n draws.
+    """
 
     origin_date: int
     horizon: int
     draws: np.ndarray
     point: float
     quantiles: dict[float, float]
-    components: list | None = None
+    mixture: tuple[np.ndarray, np.ndarray, np.ndarray]
     y_true: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -183,8 +190,8 @@ class PredictiveDraws:
 # window context: per-window precomputations and per-hyper factor caches
 
 
-def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray | None, int]:
+def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Shrinkage-target basis for the window, its origin row and its rank:
     the raw predictors, or their leading PC scores for the Large variant and
     for windows with K >= T."""
@@ -193,9 +200,8 @@ def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray | None = Non
     if force_pc or K >= T:
         r = min(PC_BASIS_RANK, T - 1, K)
         scores, loadings = principal_components(X, r, return_loadings=True)
-        b_new = None if x_new is None else np.asarray(x_new, float) @ loadings
-        return scores, b_new, r
-    return X, (None if x_new is None else np.asarray(x_new, float)), K
+        return scores, x_new @ loadings, r
+    return X, x_new, K
 
 
 @dataclass
@@ -226,11 +232,13 @@ class _HyperSlot:
 class _GpContext:
     """Precomputed quantities and factor caches for one estimation window.
 
-    ``U`` is the orthonormal factor of the window basis for Linear and
-    GPSub, and GPSub keeps its projector Phi0 = U U' for the tau^2 move. The
-    origin row x_new enters as ``d2_new`` = ||x_t - x_new||^2, GPSub's
-    ``phi_new`` (the last column of the projector onto [B; b_new]) and
-    Linear's ``g`` (the minimum-norm solution of B'g = b_new).
+    ``B`` is the window basis (``_window_basis``), which also sets the
+    chain's starting residual variance. ``U`` is its orthonormal factor for
+    Linear and GPSub, and GPSub keeps its projector Phi0 = U U' for the
+    tau^2 move. The origin row x_new enters as ``d2_new`` =
+    ||x_t - x_new||^2, GPSub's ``phi_new`` (the last column of the
+    projector onto [B; b_new]) and Linear's ``g`` (the minimum-norm
+    solution of B'g = b_new).
     """
 
     def __init__(self, spec: ModelSpec, data: WindowData):
@@ -240,9 +248,10 @@ class _GpContext:
         self.T = data.T
         x_new = np.asarray(data.x_new, dtype=float).ravel()
         self.d2_new = squared_distances(data.X, x_new)[:, 0]
+        B, b_new, k = _window_basis(spec, data.X, x_new)
+        self.B = B
         self.U = self.Phi0 = self.basis_rank = self.phi_new = self.g = None
         if self.kind in ("Linear", "GPSub"):
-            B, b_new, k = _window_basis(spec, data.X, x_new)
             Qb, R = qr(B, mode="economic")
             dR = np.abs(np.diag(R))
             if dR.min() <= 1e-10 * max(dR.max(), 1.0):
@@ -471,26 +480,27 @@ def _draw_f(ctx: _GpContext, post: _Conditional, rng: np.random.Generator) -> np
 # state initialization
 
 
-def _ols_residual_var(y: np.ndarray, B: np.ndarray | None) -> float:
+def _ols_residual_var(y: np.ndarray, B: np.ndarray) -> float:
     """Residual variance of y on an intercept plus basis columns."""
     T = y.size
-    Z = np.ones((T, 1)) if B is None else np.column_stack([np.ones(T), B])
+    Z = np.column_stack([np.ones(T), B])
     beta, *_ = np.linalg.lstsq(Z, y, rcond=None)
     resid = y - Z @ beta
     dof = max(T - Z.shape[1], 1)
     return max(float(resid @ resid) / dof, 1e-8)
 
 
-def init_state(spec: ModelSpec, data: WindowData, cfg: McmcConfig) -> ChainState:
-    """Neutral starting point: zero fit, prior-midpoint hyperparameters."""
+def init_state(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
+               ctx: _GpContext | None) -> ChainState:
+    """Neutral starting point: zero fit, prior-midpoint hyperparameters.
+    ``ctx`` is the window context (None for UC)."""
     y = data.y
     if spec.mean_kind == "UC":
         s2 = max(0.5 * float(np.var(np.diff(y))), 1e-8) if y.size > 1 else 1.0
         error = init_error_state(spec.error_kind, y.size, s2)
         state = ChainState(error=error, trend=y.copy(), trend_var=0.1)
     else:
-        B, _, _ = _window_basis(spec, data.X)
-        s2 = _ols_residual_var(y, B)
+        s2 = _ols_residual_var(y, ctx.B)
         error = init_error_state(spec.error_kind, y.size, s2)
         tau2 = 1.0 if spec.mean_kind == "GPSub" else None
         state = ChainState(error=error, f=np.zeros(y.size),
@@ -506,37 +516,18 @@ def init_state(spec: ModelSpec, data: WindowData, cfg: McmcConfig) -> ChainState
 
 def uc_trend_update(y: np.ndarray, trend: np.ndarray, error_state: ErrorState,
                     rng: np.random.Generator, trend_var: float) -> tuple[np.ndarray, float]:
-    """Random-walk trend FFBS plus the conjugate innovation-variance draw.
+    """Random-walk trend path plus the conjugate innovation-variance draw.
 
     Observation y_t = trend_t + e_t with per-t means/variances taken from
     the error state; trend_1 ~ N(y_1, UC_PRIOR_INIT_VAR) and sigma2_eta ~
-    InvGamma(UC_TREND_VAR_PRIOR). The recursions run on
-    Python floats, which round each operation exactly as numpy's float64
-    scalars do.
+    InvGamma(UC_TREND_VAR_PRIOR). The path is ``error_models.ffbs`` at
+    mu = 0 and rho = 1, the recursion the SV log-variance path uses.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
-    sigma = error_variance_diag(error_state, T).tolist()
-    obs = (y - error_mean_offsets(error_state, T)).tolist()
     q = max(float(trend_var), 1e-15)
-    m = [0.0] * T
-    C = [0.0] * T
-    a, R = float(y[0]), UC_PRIOR_INIT_VAR
-    for t in range(T):
-        if t > 0:
-            a, R = m[t - 1], C[t - 1] + q
-        gain = R / (R + sigma[t])
-        m[t] = a + gain * (obs[t] - a)
-        C[t] = (1.0 - gain) * R
-    new = [0.0] * T
-    z = rng.standard_normal(T).tolist()
-    new[-1] = m[-1] + math.sqrt(max(C[-1], 0.0)) * z[-1]
-    for t in range(T - 2, -1, -1):
-        prec = 1.0 / C[t] + 1.0 / q
-        var = 1.0 / prec
-        mean = var * (m[t] / C[t] + new[t + 1] / q)
-        new[t] = mean + math.sqrt(var) * z[t]
-    new = np.array(new)
+    new = ffbs(y - error_mean_offsets(error_state, T), error_variance_diag(error_state, T),
+               y[0], UC_PRIOR_INIT_VAR, 0.0, 1.0, q, rng)
     a0, b0 = UC_TREND_VAR_PRIOR
     shape = a0 + 0.5 * (T - 1)
     rate = b0 + 0.5 * float(np.sum(np.diff(new) ** 2))
@@ -550,10 +541,9 @@ def _check_finite(arr, block: str, iteration: int) -> None:
 
 
 def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
-              rng: np.random.Generator, ctx: _GpContext | None = None) -> ChainState:
-    """One full sweep: error block given residuals, then the mean block."""
-    if ctx is None and spec.mean_kind != "UC":
-        ctx = _GpContext(spec, data)
+              rng: np.random.Generator, ctx: _GpContext | None) -> ChainState:
+    """One full sweep: error block given residuals, then the mean block.
+    ``ctx`` is the window context ``run_chain`` built (None for UC)."""
     y = data.y
     T = y.size
     fitted = state.trend if spec.mean_kind == "UC" else state.f
@@ -606,45 +596,24 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
 # chain driver
 
 
-def _trace_names(spec: ModelSpec) -> list[str]:
-    names: list[str] = []
-    if spec.mean_kind == "UC":
-        names += ["trend_last", "trend_var"]
+def _draw_scalars(state: ChainState) -> dict[str, float]:
+    """The scalars a retained draw records, by name: the mean block's, then
+    the error block's."""
+    err = state.error
+    if state.trend is not None:
+        out = {"trend_last": state.trend[-1], "trend_var": state.trend_var}
     else:
-        names += ["xi", "phi", "f_mean"]
-        if spec.mean_kind == "GPSub":
-            names += ["tau2", "omega"]
-    if spec.error_kind == "Homosk":
-        names += ["sigma2"]
-    if spec.error_kind in ("DPM", "DPMSV"):
-        names += ["alpha", "n_occupied"]
-    if spec.error_kind in ("SV", "DPMSV"):
-        names += ["mu_h", "rho_h", "sig2_h", "h_last"]
-    return names
-
-
-def _record(spec: ModelSpec, state: ChainState, scalars: dict, i: int) -> None:
-    s = state
-    if spec.mean_kind == "UC":
-        scalars["trend_last"][i] = s.trend[-1]
-        scalars["trend_var"][i] = s.trend_var
-    else:
-        scalars["xi"][i] = s.hyper.xi
-        scalars["phi"][i] = s.hyper.phi
-        scalars["f_mean"][i] = float(np.mean(s.f))
-        if spec.mean_kind == "GPSub":
-            scalars["tau2"][i] = s.tau2
-            scalars["omega"][i] = 1.0 / (1.0 + s.tau2)
-    if spec.error_kind == "Homosk":
-        scalars["sigma2"][i] = s.error.sigma2
-    if spec.error_kind in ("DPM", "DPMSV"):
-        scalars["alpha"][i] = s.error.dpm.alpha
-        scalars["n_occupied"][i] = np.unique(s.error.dpm.alloc).size
-    if spec.error_kind in ("SV", "DPMSV"):
-        scalars["mu_h"][i] = s.error.sv.mu_h
-        scalars["rho_h"][i] = s.error.sv.rho_h
-        scalars["sig2_h"][i] = s.error.sv.sig2_h
-        scalars["h_last"][i] = s.error.sv.h[-1]
+        out = {"xi": state.hyper.xi, "phi": state.hyper.phi, "f_mean": float(np.mean(state.f))}
+        if state.tau2 is not None:
+            out.update(tau2=state.tau2, omega=1.0 / (1.0 + state.tau2))
+    if err.kind == "Homosk":
+        out["sigma2"] = err.sigma2
+    if err.dpm is not None:
+        out.update(alpha=err.dpm.alpha, n_occupied=np.unique(err.dpm.alloc).size)
+    if err.sv is not None:
+        out.update(mu_h=err.sv.mu_h, rho_h=err.sv.rho_h, sig2_h=err.sv.sig2_h,
+                   h_last=err.sv.h[-1])
+    return out
 
 
 def inefficiency_factor(trace: np.ndarray) -> float:
@@ -668,39 +637,32 @@ def inefficiency_factor(trace: np.ndarray) -> float:
 
 
 def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
-              rng: np.random.Generator | None = None) -> PosteriorDraws:
-    """Run one chain, keeping retained draws and per-draw predictive inputs."""
+              rng: np.random.Generator) -> PosteriorDraws:
+    """Run one chain on ``rng``, keeping retained draws and per-draw
+    predictive inputs."""
     t0 = time.perf_counter()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     ctx = None if spec.mean_kind == "UC" else _GpContext(spec, data)
-    state = init_state(spec, data, cfg)
+    state = init_state(spec, data, cfg, ctx)
     n_ret = cfg.n_retained
-    scalars = {name: np.empty(n_ret) for name in _trace_names(spec)}
+    scalars: dict[str, np.ndarray] = {}
     origin_mean = np.empty(n_ret)
     origin_var = np.empty(n_ret)
     dpm_kind = spec.error_kind in ("DPM", "DPMSV")
     err_w = [] if dpm_kind else None
     err_m = [] if dpm_kind else None
     err_v = [] if spec.error_kind == "DPM" else None
-    hyper_acc = alpha_acc_n = 0
-    hyper_try = alpha_try = 0
     kept = 0
     for i in range(cfg.n_iter):
         if i == cfg.n_burn:
             state.hyper_step.freeze()
             state.alpha_step.freeze()
-        prev_hyper = state.hyper
-        prev_alpha = None if not dpm_kind else state.error.dpm.alpha
         mcmc_step(spec, data, state, rng, ctx)
-        if ctx is not None:
-            hyper_try += 1
-            hyper_acc += state.hyper is not prev_hyper
-        if dpm_kind:
-            alpha_try += 1
-            alpha_acc_n += state.error.dpm.alpha != prev_alpha
         if i >= cfg.n_burn and (i - cfg.n_burn) % cfg.thin == 0:
-            _record(spec, state, scalars, kept)
+            record = _draw_scalars(state)
+            if not scalars:
+                scalars = {name: np.empty(n_ret) for name in record}
+            for name, value in record.items():
+                scalars[name][kept] = value
             if ctx is None:
                 origin_mean[kept] = state.trend[-1]
                 origin_var[kept] = data.horizon * state.trend_var
@@ -716,16 +678,14 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
             kept += 1
     ifs = {name: inefficiency_factor(vals) for name, vals in scalars.items()
            if np.std(vals) > 0.0}
-    accept = {}
-    if hyper_try:
-        accept["hyper"] = hyper_acc / hyper_try
-    if alpha_try:
-        accept["alpha"] = alpha_acc_n / alpha_try
+    accept = {name: step.n_accepts / step.n_tries
+              for name, step in (("hyper", state.hyper_step), ("alpha", state.alpha_step))
+              if step.n_tries}
     return PosteriorDraws(
         spec=spec, window=data, scalars=scalars,
         origin_mean=origin_mean, origin_var=origin_var,
         err_weights=err_w, err_means=err_m, err_vars=err_v,
-        ifs=ifs, accept=accept, seed=cfg.seed,
+        ifs=ifs, accept=accept,
         runtime=time.perf_counter() - t0, n_retained=kept)
 
 
@@ -761,24 +721,32 @@ def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
     Each retained draw contributes y* ~ N(mean + offset, var_f + var_e)
     with (mean, var_f) the mean block's moments at the origin that
     ``run_chain`` recorded, the mean shifted by the window level, and
-    (offset, var_e) from the error block's h-step predictive.
+    (offset, var_e) from the error block's h-step predictive, a mixture
+    with weights w for the DPM kinds. Its components enter the flat
+    ``mixture`` with log weights log(w / sum w) - log n.
     """
     n = draws.n_retained
     h = draws.window.horizon
     level = draws.window.y_offset
     out = np.empty(n)
-    components: list = []
+    logw, means, variances = [], [], []
     for i in range(n):
         mean = float(draws.origin_mean[i]) + level
         var_f = float(draws.origin_var[i])
         w, off, ve = _error_mixture_for_draw(spec, draws, i, h, rng)
-        j = 0 if w.size == 1 else int(rng.choice(w.size, p=w / w.sum()))
+        prob = w / w.sum()
+        j = 0 if w.size == 1 else int(rng.choice(w.size, p=prob))
         out[i] = mean + off[j] + math.sqrt(var_f + ve[j]) * rng.standard_normal()
-        components.append((mean, off, var_f + ve, w))
+        with np.errstate(divide="ignore"):
+            logw.append(np.log(prob))
+        means.append(mean + off)
+        variances.append(var_f + ve)
     qs = {p: float(np.quantile(out, p)) for p in P_GRID}
+    mixture = (np.concatenate(logw) - math.log(n), np.concatenate(means),
+               np.concatenate(variances))
     return PredictiveDraws(
         origin_date=draws.window.origin_date, horizon=h, draws=out,
-        point=float(np.mean(out)), quantiles=qs, components=components)
+        point=float(np.mean(out)), quantiles=qs, mixture=mixture)
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +771,15 @@ def make_window(full: RegressionData, panel, dspec: DatasetSpec, origin: int) ->
 
 
 def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
-                  full: RegressionData, master_seed: int | None = None,
+                  full: RegressionData, master_seed: int,
                   min_train: int = MIN_TRAIN_QUARTERS) -> PredictiveDraws:
     """Estimate one (model, origin) cell and simulate its predictive draws.
 
     ``full`` is the whole-sample data of the cell's dataset, as
-    ``cli.cell_data`` assembles it. Raises ValueError when the training
-    window is shorter than ``min_train``.
+    ``cli.cell_data`` assembles it. The chain and the predictive run on one
+    generator seeded from ``master_seed`` and the cell's identity
+    (``derive_cell_seed``), the one place a cell's seed is made. Raises
+    ValueError when the training window is shorter than ``min_train``.
     """
     dspec = spec.dataset
     if spec.mean_kind == "UC":
@@ -823,13 +793,10 @@ def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
         raise ValueError(
             f"training window at {format_quarter(origin)} has {window.T} quarters "
             f"(minimum {min_train})")
-    seed = cfg.seed
-    if master_seed is not None:
-        seed = derive_cell_seed(master_seed, spec.model_id, spec.dataset_label,
-                                dspec.horizon, format_quarter(origin))
+    seed = derive_cell_seed(master_seed, spec.model_id, spec.dataset_label,
+                            dspec.horizon, format_quarter(origin))
     rng = np.random.default_rng(seed)
-    cell_cfg = replace(cfg, seed=seed)
-    draws = run_chain(spec, window, cell_cfg, rng=rng)
+    draws = run_chain(spec, window, cfg, rng)
     pred = predictive_simulate(spec, draws, rng)
     idx = np.searchsorted(full.origin_dates, origin)
     pred.y_true = float(full.y[idx])

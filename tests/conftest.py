@@ -81,20 +81,20 @@ def mixture_density(weights, means, variances, grid):
     return dens @ np.asarray(weights, dtype=float)
 
 
-def run_chain_recording_f(spec, data, cfg):
-    """``run_chain``'s draws and the f of each retained draw, read from the
-    state after each ``mcmc_step``; the chain itself keeps only the origin
-    moments of f."""
+def run_chain_recording_f(spec, data, cfg, seed):
+    """``run_chain``'s draws on a generator seeded with ``seed``, and the f
+    of each retained draw, read from the state after each ``mcmc_step``;
+    the chain itself keeps only the origin moments of f."""
     seen = []
     step = me.mcmc_step
 
-    def recording_step(spec, data, state, rng, ctx=None):
+    def recording_step(spec, data, state, rng, ctx):
         out = step(spec, data, state, rng, ctx)
         seen.append(state.f.copy())
         return out
 
     with mock.patch.object(me, "mcmc_step", recording_step):
-        draws = me.run_chain(spec, data, cfg)
+        draws = me.run_chain(spec, data, cfg, np.random.default_rng(seed))
     return draws, np.array(seen[cfg.n_burn::cfg.thin])
 
 

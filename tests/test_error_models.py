@@ -1,6 +1,7 @@
 """Tests for the error-term machinery: stick-breaking mixture updates,
 slice sampling, stochastic volatility, and predictive plumbing."""
 
+import copy
 import dataclasses
 import math
 
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import digamma
 
+import bnpforecast.error_models as em
 import bnpforecast.model_engine as me
 from bnpforecast.data_pipeline import DatasetSpec, ModelSpec
 from bnpforecast.error_models import (
@@ -28,10 +30,12 @@ from bnpforecast.error_models import (
     _beta_logpdf,
     _gig_rvs,
     _sv_ffbs,
+    _sv_indicators,
     _truncnorm_rvs,
     error_mean_offsets,
     error_sweep,
     error_variance_diag,
+    ffbs,
     init_error_state,
     sample_alpha,
     sample_component_means,
@@ -306,7 +310,8 @@ def test_update_truncation_shrinks_to_occupied():
     out.validate()
 
 
-def test_update_truncation_cap_warns():
+def test_update_truncation_cap_warns(monkeypatch):
+    monkeypatch.setattr(em, "TRUNCATION_CAP", 35)
     sticks = np.concatenate([np.full(39, 0.01), [1.0]])
     state = DpmState(
         sticks=sticks,
@@ -318,7 +323,7 @@ def test_update_truncation_cap_warns():
         alpha=0.5,
     )
     with pytest.warns(UserWarning, match="capped"):
-        out = update_truncation(state, np.random.default_rng(9), cap=35)
+        out = update_truncation(state, np.random.default_rng(9))
     assert out.J == 35
 
 
@@ -492,20 +497,22 @@ def test_homosk_var_posterior_distribution():
 
 def test_sv_scale_equivariance():
     # scaling residuals by c shifts the sampled log-variance path by
-    # exactly 2 ln c when the AR parameters move with it
+    # exactly 2 ln c when the AR mean moves with it: the same indicators,
+    # and an FFBS path equivariant in the observations, the initial mean
+    # and the AR mean together
     rng = np.random.default_rng(18)
     resid = rng.standard_normal(40) + np.sign(rng.standard_normal(40)) * 0.05
     c = 3.0
-    base = SvState(h=np.zeros(40), mu_h=0.0, rho_h=0.6, sig2_h=0.2)
-    shifted = SvState(
-        h=np.full(40, 2.0 * math.log(c)),
-        mu_h=2.0 * math.log(c),
-        rho_h=0.6,
-        sig2_h=0.2,
-    )
-    out1 = sv_update(resid, base, np.random.default_rng(77), update_params=False)
-    out2 = sv_update(c * resid, shifted, np.random.default_rng(77), update_params=False)
-    assert_allclose(out2.h - out1.h, 2.0 * math.log(c), atol=1e-10)
+    shift = 2.0 * math.log(c)
+    mu, rho, q = 0.0, 0.6, 0.2
+    paths = []
+    for scale, level in ((1.0, 0.0), (c, shift)):
+        gen = np.random.default_rng(77)
+        ystar = np.log(np.maximum((scale * resid) ** 2, LOG_RESID_FLOOR))
+        s = _sv_indicators(ystar, np.full(40, level), gen)
+        paths.append(ffbs(ystar - _SV_M[s], _SV_V[s], mu + level, q / (1.0 - rho * rho),
+                          mu + level, rho, q, gen))
+    assert_allclose(paths[1] - paths[0], shift, atol=1e-10)
 
 
 def test_ffbs_sequential_density_matches_dense_posterior():
@@ -516,7 +523,9 @@ def test_ffbs_sequential_density_matches_dense_posterior():
     mu_h, rho, q = -0.5, 0.8, 0.3
     s_idx = np.array([2, 5, 7, 4])
     ystar = rng.normal(-1.0, 1.5, T)
-    h, bm, bv = _sv_ffbs(ystar, s_idx, mu_h, rho, q, rng, return_moments=True)
+    twin = copy.deepcopy(rng)
+    h, bm, bv = _sv_ffbs_numpy(ystar, s_idx, mu_h, rho, q, rng)
+    assert np.array_equal(_sv_ffbs(ystar, s_idx, mu_h, rho, q, twin), h)
 
     lags = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
     Sp = q / (1.0 - rho**2) * rho**lags
@@ -537,8 +546,9 @@ def test_ffbs_sequential_density_matches_dense_posterior():
 
 
 def _sv_ffbs_numpy(ystar, s, mu, rho, q, rng):
-    """The FFBS recursions on numpy float64 scalars, as first written: the
-    oracle for the Python-float loops in ``_sv_ffbs``."""
+    """The FFBS recursions on numpy float64 scalars, as first written for the
+    log-variance path: the oracle for the Python-float loops of ``ffbs``
+    that ``_sv_ffbs`` runs, returning the path and its backward moments."""
     T = ystar.size
     obs = ystar - _SV_M[s]
     v = _SV_V[s]
@@ -577,11 +587,9 @@ def test_sv_ffbs_equals_numpy_scalar_oracle(T, q):
     mu, rho = np.float64(-0.7), 0.93
     want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
     want = _sv_ffbs_numpy(ystar, s, mu, rho, q, want_rng)
-    got = _sv_ffbs(ystar, s, mu, rho, q, got_rng, return_moments=True)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    got = _sv_ffbs(ystar, s, mu, rho, q, got_rng)
+    assert np.array_equal(got, want[0])
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert np.array_equal(_sv_ffbs(ystar, s, mu, rho, q, np.random.default_rng(5)), want[0])
 
 
 def test_ffbs_draw_moments():
@@ -754,7 +762,7 @@ def _predictive_mixture(error_kind, scalars, h, rng, weights=None, means=None,
         spec=spec, window=window, scalars={k: np.atleast_1d(v) for k, v in scalars.items()},
         origin_mean=np.zeros(1), origin_var=np.zeros(1),
         err_weights=weights, err_means=means, err_vars=variances,
-        ifs={}, accept={}, seed=0, runtime=0.0, n_retained=1)
+        ifs={}, accept={}, runtime=0.0, n_retained=1)
     return me._error_mixture_for_draw(spec, draws, 0, h, rng)
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
+import bnpforecast.model_engine as me
 from bnpforecast import evaluation
-from bnpforecast.data_pipeline import AlignmentError, parse_quarter
+from bnpforecast.data_pipeline import AlignmentError, DatasetSpec, ModelSpec, parse_quarter
 from bnpforecast.evaluation import (
     P_GRID,
     SUBSAMPLE_WINDOWS,
@@ -87,19 +88,51 @@ def test_sample_quantile_minimizes_tick_loss():
 # log predictive likelihood
 
 
+def _flatten_components(draw_components):
+    """Flat (log weights, means, variances) mixture arrays from per-draw
+    predictive components: the per-draw formula that ``predictive_simulate``
+    applies as it simulates, and the oracle for its ``mixture``.
+
+    Accepts per draw either a scalar triple (mean, offset, variance) or a
+    weighted mixture (mean, offsets, variances, weights).
+    """
+    logw, means, vars_ = [], [], []
+    n = len(draw_components)
+    for comp in draw_components:
+        if len(comp) == 3:
+            m, off, v = comp
+            logw.append(np.zeros(1))
+            means.append(np.atleast_1d(np.asarray(m, float) + np.asarray(off, float)))
+            vars_.append(np.atleast_1d(np.asarray(v, float)))
+        else:
+            m, off, v, w = comp
+            w = np.asarray(w, dtype=float)
+            with np.errstate(divide="ignore"):
+                logw.append(np.log(w / w.sum()))
+            means.append(np.asarray(m, float) + np.asarray(off, float))
+            vars_.append(np.broadcast_to(np.asarray(v, float), w.shape))
+    return (np.concatenate(logw) - math.log(n), np.concatenate(means),
+            np.concatenate(vars_))
+
+
+def _lpl(draw_components, y):
+    """``log_pred_likelihood`` of per-draw components, through the oracle."""
+    return log_pred_likelihood(_flatten_components(draw_components), y)
+
+
 def test_lpl_standard_normal_peak():
-    val = log_pred_likelihood([(0.0, 0.0, 1.0)], 0.0)
+    val = _lpl([(0.0, 0.0, 1.0)], 0.0)
     assert val == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1e-12)
     assert val == pytest.approx(-0.91894, abs=5e-6)
 
 
 def test_lpl_duplicate_and_order_invariance():
     comps = [(0.4, 0.1, 0.8), (-0.2, 0.0, 1.5), (0.3, -0.5, 0.6)]
-    base = log_pred_likelihood(comps, 0.7)
-    assert log_pred_likelihood(comps[::-1], 0.7) == pytest.approx(base, abs=1e-13)
-    assert log_pred_likelihood(comps * 3, 0.7) == pytest.approx(base, abs=1e-13)
-    one = log_pred_likelihood([(0.4, 0.1, 0.8)], 0.7)
-    two = log_pred_likelihood([(0.4, 0.1, 0.8)] * 2, 0.7)
+    base = _lpl(comps, 0.7)
+    assert _lpl(comps[::-1], 0.7) == pytest.approx(base, abs=1e-13)
+    assert _lpl(comps * 3, 0.7) == pytest.approx(base, abs=1e-13)
+    one = _lpl([(0.4, 0.1, 0.8)], 0.7)
+    two = _lpl([(0.4, 0.1, 0.8)] * 2, 0.7)
     assert two == pytest.approx(one, abs=1e-13)
 
 
@@ -127,7 +160,7 @@ def test_lpl_three_draw_summation_oracle():
             dens += weight * np.exp(-(ld(y) - mean) ** 2 / (2 * var)) \
                 / np.sqrt(2 * np.pi * var)
     oracle = float(np.log(dens / ld(len(comps))))
-    assert log_pred_likelihood(comps, y) == pytest.approx(oracle, abs=1e-12)
+    assert _lpl(comps, y) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_lpl_mixture_matches_scipy():
@@ -135,27 +168,27 @@ def test_lpl_mixture_matches_scipy():
         np.array([0.5, 1.0, 0.25]), np.array([0.2, 0.5, 0.3])
     y = 0.6
     dens = np.sum(ws / ws.sum() * stats.norm.pdf(y, m + offs, np.sqrt(vs)))
-    assert log_pred_likelihood([(m, offs, vs, ws)], y) == \
+    assert _lpl([(m, offs, vs, ws)], y) == \
         pytest.approx(math.log(dens), abs=1e-12)
 
 
 def test_lpl_far_tail_stays_finite():
-    val = log_pred_likelihood([(0.0, 0.0, 1.0)], 1e4)
+    val = _lpl([(0.0, 0.0, 1.0)], 1e4)
     assert np.isfinite(val)
     assert val == pytest.approx(-0.5 * (math.log(2.0 * math.pi) + 1e8))
     # far-separated components: log-space averaging, no underflow to -inf
-    two = log_pred_likelihood([(0.0, 0.0, 1.0), (1e4, 0.0, 1.0)], 1e4)
+    two = _lpl([(0.0, 0.0, 1.0), (1e4, 0.0, 1.0)], 1e4)
     assert two == pytest.approx(-0.5 * math.log(2.0 * math.pi) - math.log(2.0),
                                 abs=1e-9)
 
 
 def test_lpl_zero_variance_limits():
-    assert log_pred_likelihood([(1.5, 0.0, 0.0)], 1.5) == math.inf
-    assert log_pred_likelihood([(1.5, 0.0, 0.0)], 2.0) == -math.inf
-    mixed = log_pred_likelihood([(1.5, 0.0, 0.0), (0.0, 0.0, 1.0)], 2.0)
+    assert _lpl([(1.5, 0.0, 0.0)], 1.5) == math.inf
+    assert _lpl([(1.5, 0.0, 0.0)], 2.0) == -math.inf
+    mixed = _lpl([(1.5, 0.0, 0.0), (0.0, 0.0, 1.0)], 2.0)
     assert np.isfinite(mixed)
     with pytest.raises(ValueError):
-        log_pred_likelihood([], 0.0)
+        log_pred_likelihood((np.empty(0),) * 3, 0.0)
 
 
 def _logsumexp_cases():
@@ -198,12 +231,42 @@ def test_lpl_equals_scipy_logsumexp_on_fixtures(monkeypatch):
                 np.array([0.6, 0.9]), np.array([0.3, 0.7]))], 0.25)]
     comps = [(0.4, 0.1, 0.8), (-0.2, 0.0, 1.5), (0.3, -0.5, 0.6)]
     cases += [(comps, 0.7), (comps[::-1], 0.7), (comps * 3, 0.7)]
-    cases += [(pr.components, pr.y_true) for pr in
+    cases = [(_flatten_components(c), y) for c, y in cases]
+    cases += [(pr.mixture, pr.y_true) for pr in
               (_fake_pred(8000, 0.4, 0.2, 1.0), _fake_pred(8001, -0.6, 0.1, 0.8),
                _fake_pred(8002, 1.2, 0.9, 1.3))]
     ported = [log_pred_likelihood(c, y) for c, y in cases]
     monkeypatch.setattr(evaluation, "_logsumexp", lambda a: float(special.logsumexp(a)))
     assert [log_pred_likelihood(c, y) for c, y in cases] == ported
+
+
+@pytest.mark.filterwarnings("ignore:inefficiency factor on a trace shorter")
+@pytest.mark.parametrize("error_kind", ["Homosk", "DPM", "SV", "DPMSV"])
+def test_predictive_mixture_equals_per_draw_formula(monkeypatch, error_kind):
+    """On the predictive of a short chain, ``predictive_simulate``'s flat
+    mixture is the per-draw formula (``_flatten_components``) applied to
+    each draw's (mean, offsets, var_f + variances, weights), bit for bit,
+    and so is its log predictive likelihood; each draw's error mixture is
+    the one its simulation used."""
+    rng = np.random.default_rng(3)
+    y = np.cumsum(rng.standard_normal(60)) + np.where(rng.uniform(size=60) < 0.5, -1.0, 1.0)
+    spec = ModelSpec("UC", error_kind, DatasetSpec("Moderate", "PRICE", 2, False))
+    window = me.WindowData(y=y, X=None, x_new=None, horizon=2, y_offset=0.4)
+    draws = me.run_chain(spec, window, me.McmcConfig(n_iter=80, n_burn=40),
+                         np.random.default_rng(11))
+    seen = []
+    per_draw = me._error_mixture_for_draw
+    monkeypatch.setattr(me, "_error_mixture_for_draw",
+                        lambda *a: seen.append(per_draw(*a)) or seen[-1])
+    pred = me.predictive_simulate(spec, draws, np.random.default_rng(12))
+    comps = [(float(draws.origin_mean[i]) + 0.4, off, float(draws.origin_var[i]) + ve, w)
+             for i, (w, off, ve) in enumerate(seen)]
+    assert len(comps) == draws.n_retained == 40
+    want = _flatten_components(comps)
+    for got, ref in zip(pred.mixture, want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    for outcome in (pred.point, pred.quantiles[0.05], y[-1] + 5.0):
+        assert log_pred_likelihood(pred.mixture, outcome) == _lpl(comps, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +356,16 @@ def test_cumulative_path_cases():
         cumulative_path(a, b[:-1])
 
 
-def test_subsample_average_full_span_and_identity():
+def test_subsample_average_full_span_and_identity(monkeypatch):
+    monkeypatch.setattr(evaluation, "SUBSAMPLE_WINDOWS", (("all", "1995Q1", "1997Q4"),))
     dates = np.arange(parse_quarter("1995Q1"), parse_quarter("1995Q1") + 12)
     rng = np.random.default_rng(2)
     s = np.abs(rng.standard_normal(12)) + 0.1
     b = np.abs(rng.standard_normal(12)) + 0.1
-    full = subsample_average(dates, s, b,
-                             windows=(("all", "1995Q1", "1997Q4"),))
+    full = subsample_average(dates, s, b)
     assert set(full) == {"all"}
     assert full["all"] == pytest.approx(np.mean(s) / np.mean(b))
-    same = subsample_average(dates, b, b,
-                             windows=(("all", "1995Q1", "1997Q4"),))
+    same = subsample_average(dates, b, b)
     assert same["all"] == 1.0
 
 
@@ -323,13 +385,13 @@ def test_subsample_average_default_windows():
     assert table["1991-2000"] == pytest.approx(np.mean(s[mask]) / np.mean(b[mask]))
 
 
-def test_subsample_average_warns_on_empty_window():
+def test_subsample_average_warns_on_empty_window(monkeypatch):
+    monkeypatch.setattr(evaluation, "SUBSAMPLE_WINDOWS",
+                        (("in", "1995Q1", "1995Q4"), ("out", "2030Q1", "2030Q4")))
     dates = np.arange(parse_quarter("1995Q1"), parse_quarter("1995Q1") + 4)
     s = np.ones(4)
     with pytest.warns(UserWarning, match="no origins"):
-        table = subsample_average(
-            dates, s, s, windows=(("in", "1995Q1", "1995Q4"),
-                                  ("out", "2030Q1", "2030Q4")))
+        table = subsample_average(dates, s, s)
     assert list(table) == ["in"]
 
 
@@ -360,11 +422,14 @@ def test_kolmogorov_halfwidth_table_value():
 
 
 def test_rs_diagnostic_perfect_grid():
-    n = 50
-    pits = np.arange(1, n + 1) / n
-    grid, ecdf, half = rs_diagnostic(pits, grid=pits.copy())
-    assert np.array_equal(ecdf, grid)
-    assert half == pytest.approx(kolmogorov_halfwidth(n))
+    """PITs at the grid's own points 0.01, ..., 1: the empirical CDF at the
+    k-th grid point is exactly k/100."""
+    n = 100
+    pits = np.linspace(0.0, 1.0, 101)[1:]
+    grid, ecdf, half = rs_diagnostic(pits)
+    assert np.array_equal(grid, np.linspace(0.0, 1.0, 101))
+    assert np.array_equal(ecdf, np.arange(101) / n)
+    assert half == pytest.approx(kolmogorov_halfwidth(n, 0.05))
     g2, e2, _ = rs_diagnostic(PitSeries("m", np.arange(n), pits))
     assert g2.size == 101
     assert e2[0] == 0.0 and e2[-1] == 1.0
@@ -399,7 +464,7 @@ def _fake_pred(origin, y_true, mean, var, n=400, seed=0):
     comps = [(mean, np.zeros(1), np.full(1, var), np.ones(1))] * n
     return PredictiveDraws(origin_date=origin, horizon=1, draws=draws,
                            point=float(draws.mean()), quantiles=qs,
-                           components=comps, y_true=y_true)
+                           mixture=_flatten_components(comps), y_true=y_true)
 
 
 def score_forecasts(model_id, preds, rng=None, p_grid=P_GRID):
@@ -412,7 +477,7 @@ def score_forecasts(model_id, preds, rng=None, p_grid=P_GRID):
     dates = np.array([p.origin_date for p in preds], dtype=int)
     y = np.array([p.y_true for p in preds], dtype=float)
     point = np.array([p.point for p in preds], dtype=float)
-    lpls = np.array([log_pred_likelihood(p.components, p.y_true) for p in preds])
+    lpls = np.array([log_pred_likelihood(p.mixture, p.y_true) for p in preds])
     qs = {p: np.array([quantile_score(pr.y_true, pr.quantiles[p], p) for pr in preds])
           for p in p_grid}
     pits = np.array([pit_compute(pr.draws, pr.y_true, rng) for pr in preds])
@@ -433,7 +498,7 @@ def test_score_forecasts_assembles_aligned_panel():
     for i, pr in enumerate(preds):
         assert panel.sq_errors[i] == pytest.approx((pr.y_true - pr.point) ** 2)
         assert panel.lpls[i] == pytest.approx(
-            log_pred_likelihood(pr.components, pr.y_true))
+            log_pred_likelihood(pr.mixture, pr.y_true))
         for p in P_GRID:
             assert panel.qs[p][i] == pytest.approx(
                 quantile_score(pr.y_true, pr.quantiles[p], p))

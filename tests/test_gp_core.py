@@ -158,8 +158,10 @@ def test_projection_switches_to_principal_components():
     # with K >= T the basis becomes leading PC scores, capped at T-1
     rng = np.random.default_rng(5)
     X = rng.standard_normal((5, 9))
-    B, b_new, k = me._window_basis(_spec(), X)
-    assert k == 4 and B.shape == (5, 4) and b_new is None
+    B, b_new, k = me._window_basis(_spec(), X, X[2])
+    assert k == 4 and B.shape == (5, 4)
+    assert_allclose(b_new, B[2], atol=1e-12)
+    assert np.array_equal(_ctx(X, "GP").B, B)  # GP's context carries the basis too
     ctx = _ctx(X)
     assert ctx.basis_rank == 4
     assert_allclose(ctx.Phi0 @ B, B, atol=1e-10)
@@ -424,17 +426,6 @@ def test_hyper_update_reports_loglik_of_returned_state():
     assert seen_accept and seen_reject
 
 
-def test_hyper_update_caching_is_transparent():
-    ll = lambda a, b: 5.0 * a * b
-    h = KernelHyper(0.3, 0.6)
-    out1 = sample_kernel_hyper(h, ll, np.random.default_rng(9), step=0.5)
-    out2 = sample_kernel_hyper(
-        h, ll, np.random.default_rng(9), step=0.5, loglik_current=ll(h.xi, h.phi)
-    )
-    assert out1[0] == out2[0] and out1[1] == out2[1]
-    assert_allclose(out1[2], out2[2], atol=0)
-
-
 def test_hyper_chain_uniform_under_flat_likelihood():
     # flat log likelihood + U(0,1) priors: the chain's marginals must be
     # uniform on the unit interval
@@ -622,7 +613,7 @@ def test_chain_origin_moments_match_dense_oracle(mean_kind):
     x_new = rng.standard_normal(2)
     data = me.WindowData(y=y, X=X, x_new=x_new, horizon=1)
     draws, f = run_chain_recording_f(_spec(mean_kind), data,
-                                     me.McmcConfig(n_iter=90, n_burn=30, seed=6))
+                                     me.McmcConfig(n_iter=90, n_burn=30), 6)
     s = draws.scalars
     moved = np.flatnonzero(np.diff(s["xi"]) != 0.0)
     assert 0 < moved.size < draws.n_retained - 1  # accepted and rejected proposals

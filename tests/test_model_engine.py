@@ -89,7 +89,13 @@ def _hand_draws(spec, window, scalars, f, n):
     return PosteriorDraws(spec=spec, window=window, scalars=scalars,
                           origin_mean=mean, origin_var=var,
                           err_weights=None, err_means=None, err_vars=None,
-                          ifs={}, accept={}, seed=0, runtime=0.0, n_retained=n)
+                          ifs={}, accept={}, runtime=0.0, n_retained=n)
+
+
+def _context(spec, data):
+    """The window context ``run_chain`` builds and ``mcmc_step`` takes:
+    None for UC."""
+    return None if spec.mean_kind == "UC" else me._GpContext(spec, data)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +137,12 @@ def test_linear_is_exact_subspace_limit():
     X = rng.standard_normal((30, 3))
     y = np.sin(X[:, 0]) + 0.3 * rng.standard_normal(30)
     data = WindowData(y=y, X=X, x_new=np.zeros(3), horizon=1)
-    state = init_state(spec, data, McmcConfig(n_iter=30, n_burn=5, seed=3))
+    ctx = _context(spec, data)
+    state = init_state(spec, data, McmcConfig(n_iter=30, n_burn=5), ctx)
     assert state.tau2 is None
     step_rng = np.random.default_rng(4)
     for _ in range(5):
-        mcmc_step(spec, data, state, step_rng)
+        mcmc_step(spec, data, state, step_rng, ctx)
         resid = state.f - X @ np.linalg.lstsq(X, state.f, rcond=None)[0]
         assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(state.f))
 
@@ -294,8 +301,9 @@ def test_mcmc_step_updates_error_block_before_mean_block(monkeypatch):
     monkeypatch.setattr(me, "_draw_f",
                         lambda *a, **k: (calls.append("mean"),
                                          orig_draw(*a, **k))[1])
-    state = init_state(spec, data, McmcConfig(n_iter=30, n_burn=5, seed=3))
-    mcmc_step(spec, data, state, np.random.default_rng(0))
+    ctx = _context(spec, data)
+    state = init_state(spec, data, McmcConfig(n_iter=30, n_burn=5), ctx)
+    mcmc_step(spec, data, state, np.random.default_rng(0), ctx)
     assert calls == ["error", "mean"]
 
 
@@ -305,7 +313,7 @@ def test_linear_chain_matches_projection_fit_at_high_snr():
     X, y, ols_fit = _linear_fixture(sigma=0.02)
     data = WindowData(y=y, X=X, x_new=np.zeros(3), horizon=1)
     _, f = run_chain_recording_f(ModelSpec("Linear", "Homosk", DS_H1), data,
-                                 McmcConfig(n_iter=2500, n_burn=1000, seed=11))
+                                 McmcConfig(n_iter=2500, n_burn=1000), 11)
     dev = np.max(np.abs(f.mean(axis=0) - ols_fit))
     assert dev < 1e-3 * np.max(np.abs(ols_fit))
 
@@ -316,7 +324,7 @@ def test_linear_chain_shrinks_toward_projection_fit_at_unit_noise():
     X, y, ols_fit = _linear_fixture(sigma=1.0)
     data = WindowData(y=y, X=X, x_new=np.zeros(3), horizon=1)
     _, f = run_chain_recording_f(ModelSpec("Linear", "Homosk", DS_H1), data,
-                                 McmcConfig(n_iter=2500, n_burn=1000, seed=11))
+                                 McmcConfig(n_iter=2500, n_burn=1000), 11)
     fmean = f.mean(axis=0)
     assert np.corrcoef(fmean, ols_fit)[0, 1] > 0.999
     slope = np.polyfit(ols_fit, fmean, 1)[0]
@@ -328,11 +336,11 @@ def test_uc_chain_tracks_random_walk():
     y = np.cumsum(rng.standard_normal(300))
     spec = ModelSpec("UC", "Homosk", DS_H1)
     data = WindowData(y=y, X=None, x_new=None, horizon=1)
-    state = init_state(spec, data, McmcConfig(n_iter=10, n_burn=5, seed=7))
+    state = init_state(spec, data, McmcConfig(n_iter=10, n_burn=5), None)
     step_rng = np.random.default_rng(7)
     acc = np.zeros(y.size)
     for i in range(800):
-        state = mcmc_step(spec, data, state, step_rng)
+        state = mcmc_step(spec, data, state, step_rng, None)
         if i >= 200:
             acc += state.trend
     assert np.corrcoef(acc / 600, y)[0, 1] > 0.95
@@ -349,10 +357,11 @@ def test_mcmc_step_preserves_invariants_across_grid():
         data = (WindowData(y=y, X=None, x_new=None, horizon=1)
                 if mean_kind == "UC"
                 else WindowData(y=y, X=X, x_new=np.zeros(3), horizon=1))
-        state = init_state(spec, data, McmcConfig(n_iter=30, n_burn=10, seed=1))
+        ctx = _context(spec, data)
+        state = init_state(spec, data, McmcConfig(n_iter=30, n_burn=10), ctx)
         step_rng = np.random.default_rng(abs(hash(mid)) % 2 ** 32)
         for _ in range(25):
-            state = mcmc_step(spec, data, state, step_rng)
+            state = mcmc_step(spec, data, state, step_rng, ctx)
         state.error.validate()
         if mean_kind == "UC":
             assert np.all(np.isfinite(state.trend))
@@ -530,14 +539,14 @@ def _mean_block_gets_it_right(monkeypatch, mean_kind, move_tau2=True):
     spec = ModelSpec(mean_kind, "Homosk", DS_H1)
     data = WindowData(y=f_iid[0] + np.sqrt(s2) * rng.standard_normal(T), X=X,
                       x_new=np.zeros(2), horizon=1)
-    state = init_state(spec, data, McmcConfig(n_iter=10, n_burn=1))
+    ctx = me._GpContext(spec, data)
+    state = init_state(spec, data, McmcConfig(n_iter=10, n_burn=1), ctx)
     state.error.sigma2 = s2
     state.hyper = KernelHyper(float(xi[0]), float(phi[0]))
     state.f = f_iid[0].copy()
     if tau2 is not None:
         state.tau2 = float(tau2[0])
     state.hyper_step = AdaptiveStep(step=1.5, frozen=True)
-    ctx = me._GpContext(spec, data)
     chain = np.empty((n_chain, 3 + T))
     for i in range(n_chain):
         mcmc_step(spec, data, state, rng, ctx)
@@ -595,9 +604,9 @@ def test_sweep_factorization_budget(monkeypatch, mean_kind, budget):
     y = np.sin(X[:, 0]) + 0.4 * rng.standard_normal(T)
     data = WindowData(y=y, X=X, x_new=np.zeros(2), horizon=1)
     spec = ModelSpec(mean_kind, "Homosk", DS_H1)
-    cfg = McmcConfig(n_iter=30, n_burn=5, seed=3)
+    cfg = McmcConfig(n_iter=30, n_burn=5)
     ctx = me._GpContext(spec, data)
-    state = init_state(spec, data, cfg)
+    state = init_state(spec, data, cfg, ctx)
     step_rng = np.random.default_rng(3)
     mcmc_step(spec, data, state, step_rng, ctx)  # caches the current hyper
 
@@ -679,12 +688,12 @@ def test_run_chain_deterministic_given_seed():
     X = rng.standard_normal((60, 2))
     y = X @ np.array([0.6, -0.3]) + rng.standard_normal(60)
     data = WindowData(y=y, X=X, x_new=np.zeros(2), horizon=1)
-    cfg = McmcConfig(n_iter=120, n_burn=40, seed=99)
+    cfg = McmcConfig(n_iter=120, n_burn=40)
     for mid in ("Linear-DPM", "GPSub-SV"):
         mean_kind, error_kind = mid.split("-", 1)
         spec = ModelSpec(mean_kind, error_kind, DS_H1)
-        a, fa = run_chain_recording_f(spec, data, cfg)
-        b, fb = run_chain_recording_f(spec, data, cfg)
+        a, fa = run_chain_recording_f(spec, data, cfg, 99)
+        b, fb = run_chain_recording_f(spec, data, cfg, 99)
         assert np.array_equal(fa, fb)
         assert np.array_equal(a.origin_mean, b.origin_mean)
         for name in a.scalars:
@@ -700,8 +709,8 @@ def test_run_chain_single_retained_draw():
     X = rng.standard_normal((50, 2))
     y = rng.standard_normal(50)
     data = WindowData(y=y, X=X, x_new=np.zeros(2), horizon=1)
-    cfg = McmcConfig(n_iter=40, n_burn=39, seed=1)
-    draws, f = run_chain_recording_f(ModelSpec("GP", "Homosk", DS_H1), data, cfg)
+    cfg = McmcConfig(n_iter=40, n_burn=39)
+    draws, f = run_chain_recording_f(ModelSpec("GP", "Homosk", DS_H1), data, cfg, 1)
     assert draws.n_retained == 1
     assert f.shape == (1, 50)
     assert draws.origin_mean.shape == draws.origin_var.shape == (1,)
@@ -727,23 +736,41 @@ def test_run_chain_aborts_on_nonfinite_state(monkeypatch):
     monkeypatch.setattr(me, "error_variance_diag", poisoned)
     with pytest.raises(McmcError, match=r"error block at iteration 3"):
         run_chain(ModelSpec("Linear", "Homosk", DS_H1), data,
-                  McmcConfig(n_iter=30, n_burn=5, seed=1))
+                  McmcConfig(n_iter=30, n_burn=5), np.random.default_rng(1))
 
 
 @pytest.mark.filterwarnings(SHORT_TRACE)
-def test_run_chain_reports_acceptance_and_mixing():
+def test_run_chain_reports_acceptance_and_mixing(monkeypatch):
+    """The acceptance rates are the moves' own accepted flags over every
+    sweep, burn-in included: the hyper move's and the DPM alpha move's."""
     rng = np.random.default_rng(4)
     X = rng.standard_normal((60, 2))
     y = X @ np.array([0.6, -0.3]) + rng.standard_normal(60)
     data = WindowData(y=y, X=X, x_new=np.zeros(2), horizon=1)
+    flags = {"hyper": [], "alpha": []}
+    hyper_move, error_move = me.sample_kernel_hyper, me.error_sweep
+
+    def hyper(*a, **k):
+        out = hyper_move(*a, **k)
+        flags["hyper"].append(out[1])
+        return out
+
+    def sweep(*a, **k):
+        out = error_move(*a, **k)
+        flags["alpha"].append(out[1])
+        return out
+
+    monkeypatch.setattr(me, "sample_kernel_hyper", hyper)
+    monkeypatch.setattr(me, "error_sweep", sweep)
     draws = run_chain(ModelSpec("GPSub", "DPM", DS_H1), data,
-                      McmcConfig(n_iter=150, n_burn=50, seed=2))
-    assert set(draws.accept) <= {"hyper", "alpha"}
-    assert all(0.0 <= v <= 1.0 for v in draws.accept.values())
+                      McmcConfig(n_iter=150, n_burn=50), np.random.default_rng(2))
+    assert set(draws.accept) == {"hyper", "alpha"}
+    for name, seen in flags.items():
+        assert len(seen) == 150 and 0 < sum(seen) < 150
+        assert draws.accept[name] == sum(seen) / 150
     assert draws.ifs
     assert all(v >= 1.0 or np.isnan(v) for v in draws.ifs.values())
     assert draws.runtime > 0
-    assert draws.seed == 2
 
 
 # ---------------------------------------------------------------------------
@@ -871,8 +898,8 @@ def test_predictive_linear_equals_subspace_at_full_weight():
     out_lin = predictive_simulate(
         spec_lin, _hand_draws(spec_lin, window, base, np.tile(f_fix, (n, 1)), n),
         np.random.default_rng(12))
-    assert all(c[0] == pytest.approx(0.3 + x_new @ [0.8, -0.4], abs=1e-12)
-               for c in out_lin.components)
+    assert all(m == pytest.approx(0.3 + x_new @ [0.8, -0.4], abs=1e-12)
+               for m in out_lin.mixture[1])
     gaps = []
     for tau2 in (1e-8, 1e-10, 1e-12):
         sub = dict(base, tau2=np.full(n, tau2), omega=np.full(n, 1.0 / (1.0 + tau2)))
@@ -927,7 +954,7 @@ def test_recursive_forecast_one_cell_per_origin(small_panel):
     assert len(cells) == 8
     spec = ModelSpec("Linear", "Homosk", cfg.dataset_spec("Moderate", 1))
     assert spec.dataset == DS_H1
-    mcmc = McmcConfig(n_iter=60, n_burn=20, seed=4)
+    mcmc = McmcConfig(n_iter=60, n_burn=20)
     data = cli.cell_data(small_panel, spec.dataset, is_uc=False)
     for c in cells:
         res = forecast_cell(spec, small_panel, c.origin, mcmc, data, master_seed=99)

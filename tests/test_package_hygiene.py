@@ -1,7 +1,8 @@
 """Static checks of the package's modules: no import left behind by a
-deletion, no ``__all__`` entry naming something that is gone, no runtime
-dependency the code does not import, no configuration field that no config
-file can set, and no schema keyword the config check does not read."""
+deletion, no ``__all__`` entry naming something that is gone, no defaulted
+parameter that no call sets, no runtime dependency the code does not
+import, no configuration field that no config file can set, and no schema
+keyword the config check does not read."""
 
 import ast
 import dataclasses
@@ -79,6 +80,72 @@ def test_every_export_exists(path):
     assert not missing, f"{path.name}: __all__ names {missing} are not defined"
 
 
+# Defaulted parameters that no call in src/ sets, each kept for its reason.
+UNSET_DEFAULTS_ALLOWED = {
+    ("cli", "main", "argv"): "entry point: the console script calls main()",
+    ("synthetic", "synthetic_panel", "T"): "test utility: the panel generator's size",
+    ("synthetic", "synthetic_panel", "n_moderate"): "test utility: the panel generator's width",
+    ("synthetic", "synthetic_panel", "n_large_extra"): "test utility: the Large-only series",
+    ("synthetic", "synthetic_panel", "seed"): "test utility: the panel generator's seed",
+    ("synthetic", "synthetic_panel", "start"): "test utility: the panel's first quarter",
+    ("linear_summary", "lasso_fit", "max_breakpoints"): "a test sets 3 to hit the limit",
+    ("linear_summary", "default_lambda_grid", "n_points"): "tests set shorter grids",
+    ("linear_summary", "default_lambda_grid", "ratio"): "a test sets a narrower span",
+    ("linear_summary", "fit_quantile_paths", "folds"): "tests set 4 folds",
+    ("evaluation", "kolmogorov_halfwidth", "level"): "a test sets an invalid level",
+}
+
+
+def _defaulted_parameters(path):
+    """(module, function, parameter, position) for every parameter with a
+    default; the position counts from the first argument a call passes
+    (after a method's self) and is None for keyword-only parameters."""
+    tree = _parse(path)
+    methods = {id(f) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for f in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        pos = a.posonlyargs + a.args
+        shift = int(id(node) in methods and bool(pos) and pos[0].arg in ("self", "cls"))
+        first = len(pos) - len(a.defaults)
+        for i, arg in enumerate(pos[first:], start=first):
+            yield path.stem, node.name, arg.arg, i - shift
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield path.stem, node.name, arg.arg, None
+
+
+def _calls(path):
+    """(callee name, positional count, keyword names, has a * or ** splat)
+    for every call to a plain or attribute name."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name:
+                splat = (any(isinstance(x, ast.Starred) for x in node.args)
+                         or any(k.arg is None for k in node.keywords))
+                yield (name, sum(not isinstance(x, ast.Starred) for x in node.args),
+                       {k.arg for k in node.keywords}, splat)
+
+
+def test_no_defaulted_parameter_goes_unset():
+    """Every defaulted parameter of a function in ``src/`` is set by some
+    call in ``src/`` (by name, by position or through a splat), or is in
+    ``UNSET_DEFAULTS_ALLOWED`` with its reason: a parameter no call sets
+    is an option no run can take. Calls are matched by function name."""
+    calls = [c for path in MODULES for c in _calls(path)]
+    unset = set()
+    for mod, fn, param, idx in (d for path in MODULES for d in _defaulted_parameters(path)):
+        if not any(name == fn and (param in kws or (idx is not None and npos > idx) or splat)
+                   for name, npos, kws, splat in calls):
+            unset.add((mod, fn, param))
+    assert unset - set(UNSET_DEFAULTS_ALLOWED) == set()
+    assert set(UNSET_DEFAULTS_ALLOWED) - unset == set(), "stale allowlist entries"
+
+
 def test_mean_blocks_form_no_dense_inverse():
     """``model_engine`` factors K plus a diagonal and never forms a T x T
     inverse: it neither imports nor calls ``dpotri``, ``inv`` or ``pinv``."""
@@ -92,14 +159,13 @@ def test_mean_blocks_form_no_dense_inverse():
 
 
 def test_config_dataclasses_match_schema():
-    """Every ``McmcConfig`` field but the seed (which ``run`` derives per
-    cell) is a key of the schema's ``mcmc`` object, and every ``RunConfig``
-    field a top-level key, and the reverse: a field no config can reach is
-    an option no run can take."""
+    """Every ``McmcConfig`` field is a key of the schema's ``mcmc`` object,
+    and every ``RunConfig`` field a top-level key, and the reverse: a field
+    no config can reach is an option no run can take."""
     from bnpforecast.cli import RunConfig
     from bnpforecast.data_pipeline import McmcConfig
     schema = json.loads((PACKAGE / "config_schema.json").read_text())
-    mcmc = {f.name for f in dataclasses.fields(McmcConfig)} - {"seed"}
+    mcmc = {f.name for f in dataclasses.fields(McmcConfig)}
     assert mcmc == set(schema["properties"]["mcmc"]["properties"])
     assert {f.name for f in dataclasses.fields(RunConfig)} == set(schema["properties"])
 

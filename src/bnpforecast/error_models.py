@@ -8,6 +8,10 @@ log-chi-squared Gaussian-mixture approximation), and the hybrid carrying
 mixture means with a common SV variance, under the priors ``DPM_PRIORS``
 and ``SV_PRIORS``. ``ffbs``, the scalar state-path sampler, draws both the
 SV log-variance path and the UC trend (``model_engine.uc_trend_update``).
+The AR(1) parameters take the full conditionals of Kastner &
+Fruhwirth-Schnatter (2014, CSDA), drawn with numpy alone: a Gaussian mu_h,
+an independence MH move on rho_h, and sig2_h by rejection from an
+inverse-gamma envelope.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .data_pipeline import ERROR_KINDS
 
@@ -457,160 +460,84 @@ def _sv_ffbs(ystar: np.ndarray, s: np.ndarray, mu: float, rho: float, q: float,
     return ffbs(ystar - _SV_M[s], _SV_V[s], mu, q / (1.0 - rho * rho), mu, rho, q, rng)
 
 
-# Exact ports of scipy 1.17's truncnorm.rvs, beta.logpdf and geninvgauss.rvs
-# for the AR(1) parameter block below. Each repeats scipy's arithmetic with
-# the same numpy / scipy.special ufuncs, the same operand types and the same
-# Generator draws, so every draw is bit-for-bit the one scipy returns from
-# the same stream; tests/test_error_models.py pins the parity. rng.random()
-# stands for scipy's rng.uniform(): both return the next double unchanged,
-# and random() skips uniform()'s argument handling. Importing scipy's
-# statistics package would about double every command's start-up time.
+def _sv_rho_move(z: np.ndarray, rho: float, q: float, rng: np.random.Generator) -> float:
+    """Independence MH move on rho_h given the demeaned path z = h - mu_h.
 
-def _logaddexp(lp: float, lq: float) -> float:
-    """log(e^lp + e^lq), rounded as scipy.special.logsumexp([lp, lq]) rounds it."""
-    big, small = (lp, lq) if lp > lq else (lq, lp)
-    if lp == lq or not math.isfinite(big) or math.isnan(small):
-        return special.logsumexp([lp, lq])   # ties and non-finite edge cases
-    return np.log1p(np.exp(small - big)) + big
-
-
-def _logsubexp(lp: float, lq: float) -> float:
-    """log(e^lp - e^lq), lp > lq, as the real part of logsumexp([lp, lq + i pi])."""
-    if lp > lq and math.isfinite(lp):
-        # the log(m) = log(1 + 0j) term of logsumexp contributes the + 0.0
-        out = np.log1p(np.exp(complex(lq - lp, np.pi))).real + 0.0 + lp
-        if math.isfinite(out):
-            return out
-    return float(np.real(special.logsumexp([lp, lq + np.pi * 1j])))
-
-
-def _log_gauss_mass(a: float, b: float) -> float:
-    """log(Phi(b) - Phi(a)), computed in the left tail as scipy does."""
-    if b <= 0:
-        return _logsubexp(special.log_ndtr(b), special.log_ndtr(a))
-    if a > 0:
-        return _logsubexp(special.log_ndtr(-a), special.log_ndtr(-b))
-    return special.log1p(-special.ndtr(a) - special.ndtr(-b))
-
-
-def _truncnorm_rvs(lo: float, hi: float, loc: float, scale: float,
-                   rng: np.random.Generator) -> float:
-    """loc + scale * Z, Z ~ N(0, 1) truncated to (lo, hi), by inverse CDF of one uniform."""
-    if not lo < hi:
-        raise ValueError(f"truncated normal needs lo < hi, got ({lo}, {hi})")
-    u = rng.random()
-    if lo < 0:
-        x = special.ndtri_exp(_logaddexp(special.log_ndtr(lo),
-                                         np.log(u) + _log_gauss_mass(lo, hi)))
-    else:
-        x = -special.ndtri_exp(_logaddexp(special.log_ndtr(-hi),
-                                          np.log1p(-u) + _log_gauss_mass(lo, hi)))
-    return float(x * scale + loc)
-
-
-def _beta_logpdf(x: float, a: float, b: float) -> float:
-    """Beta(a, b) log density at x in (0, 1)."""
-    return special.xlog1py(b - 1.0, -x) + special.xlogy(a - 1.0, x) - special.betaln(a, b)
-
-
-def _gig_logquasipdf(x, p: float, b: float):
-    """(p-1) log x - b (x + 1/x) / 2; -inf off the support."""
-    if not x > 0:
-        return -np.inf
-    return (p - 1) * np.log(x) - b * (x + 1 / x) / 2
-
-
-def _gig_rvs(p: float, b: float, scale: float, rng: np.random.Generator) -> float:
-    """scale * X, X ~ GIG(p, b) with density prop. to x^(p-1) exp(-b (x + 1/x) / 2).
-
-    Ratio of uniforms with mode shift (Hormann & Leydold 2014, Stat. Comput.):
-    the bounding rectangle comes from the roots of a cubic (Cardano), and
-    each attempt draws two uniforms. For p < 0 the draw is 1/X' with
-    X' ~ GIG(-p, b). The method covers |p| >= 1 or b > 1; with
-    p = sig_shape - T/2 under the default priors, that is every T >= 3. The
-    paper's two methods for |p| < 1 with b <= 1 are not carried.
+    The proposal is the t >= 2 likelihood, N(mean_l, q/sz) with sz the sum
+    of z_{t-1}^2 and mean_l the least-squares slope of z_t on z_{t-1}. A
+    proposal outside (-1 + 1e-6, 1 - 1e-6) is rejected; one inside is
+    accepted with the ratio of the terms the proposal leaves out, the Beta
+    prior on x = (r + 1)/2 and the stationary start z_1 ~ N(0, q/(1 - r^2)):
+    (rho_a - 1) log x + (rho_b - 1) log(1 - x) + log(1 - r^2)/2
+    - (1 - r^2) z_1^2/(2q), here up to constants. A truncated proposal would
+    give the same stationary law, as its normalizer cancels in the ratio. A
+    path with no spread (sz <= 1e-12) holds rho.
     """
-    if not b > 0:
-        raise ValueError(f"GIG draw needs b > 0, got {b}")
-    invert = p < 0
-    if invert:
-        p = -p
-    if not (p >= 1 or b > 1):
-        raise ValueError(f"GIG draw supports |p| >= 1 or b > 1 only, got |p|={p}, b={b}")
-    if p < 1:
-        m = b / (np.sqrt((p - 1)**2 + b**2) + 1 - p)
-    else:
-        m = (np.sqrt((1 - p)**2 + b**2) - (1 - p)) / b
-    a2 = -2 * (p + 1) / b - m
-    a1 = 2 * m * (p - 1) / b - 1
-    p1 = a1 - a2**2 / 3
-    q1 = 2 * a2**3 / 27 - a2 * a1 / 3 + m
-    phi = np.arccos(-q1 * np.sqrt(-27 / p1**3) / 2)
-    s1 = -np.sqrt(-4 * p1 / 3)
-    root1 = s1 * np.cos(phi / 3 + np.pi / 3) - a2 / 3
-    root2 = -s1 * np.cos(phi / 3) - a2 / 3
-    lm = _gig_logquasipdf(m, p, b)
-    vmin = (root1 - m) * np.exp(0.5 * (_gig_logquasipdf(root1, p, b) - lm))
-    vmax = (root2 - m) * np.exp(0.5 * (_gig_logquasipdf(root2, p, b) - lm))
-    if vmin >= vmax:
-        raise ValueError(f"GIG bounding rectangle is empty (p={p}, b={b})")
+    sz = float(z[:-1] @ z[:-1])
+    if sz <= 1e-12:
+        return rho
+    prop = float(z[1:] @ z[:-1]) / sz + math.sqrt(q / sz) * rng.standard_normal()
+    if not -1.0 + 1e-6 < prop < 1.0 - 1e-6:
+        return rho
+    a, b, c = SV_PRIORS.rho_a - 0.5, SV_PRIORS.rho_b - 0.5, float(z[0]) ** 2 / (2.0 * q)
+
+    def extra(r: float) -> float:
+        return a * math.log1p(r) + b * math.log1p(-r) - (1.0 - r * r) * c
+
+    if math.log(rng.random()) < extra(prop) - extra(rho):
+        return prop
+    return rho
+
+
+def _sv_sig2_draw(S: float, T: int, rng: np.random.Generator) -> float:
+    """sig2_h from its full conditional, a generalized inverse Gaussian
+    prop. to q^(-a-1) exp(-b/q - c q) with a = T/2 - sig_shape, b = S/2 and
+    c = sig_rate, by rejection from the inverse-gamma envelope IG(a, b - d).
+
+    The target over the envelope is exp(-d/q - c q) <= exp(-2 sqrt(c d)), so
+    q' is kept with probability exp(-(sqrt(d/q') - sqrt(c q'))^2). The shift
+    d = s^2 b, s = w / (a + sqrt(a^2 + w^2)) with w = 2 sqrt(b c), maximizes
+    the acceptance rate. As S -> 0 the shift vanishes, leaving the
+    likelihood's IG(a, S/2) kept with probability exp(-c q'); unshifted,
+    that rate falls like exp(-c q), and at T = 6, S = 193 no draw in 50,000
+    was kept.
+    Needs T/2 > sig_shape (T >= 2 under the default priors).
+    """
+    a, b, c = 0.5 * T - SV_PRIORS.sig_shape, 0.5 * S, SV_PRIORS.sig_rate
+    if not a > 0.0:
+        raise ValueError(f"sig2_h draw needs T/2 > sig_shape, got T={T}")
+    w = 2.0 * math.sqrt(b * c)
+    d = b * (w / (a + math.sqrt(a * a + w * w))) ** 2
     for _ in range(50000):
-        u = rng.random()
-        x = (vmin + (vmax - vmin) * rng.random()) / u + m
-        if 2 * np.log(u) <= _gig_logquasipdf(x, p, b) - lm:
-            break
-    else:
-        raise RuntimeError(f"no GIG variate accepted in 50000 attempts (p={p}, b={b})")
-    if invert:
-        x = 1 / x
-    return float(x * scale)
+        q = (b - d) / rng.gamma(a)
+        if rng.random() < math.exp(-(math.sqrt(d / q) - math.sqrt(c * q)) ** 2):
+            return q
+    raise RuntimeError(f"no sig2_h draw accepted in 50000 tries (S={S}, T={T})")
 
 
 def _sv_params(h: np.ndarray, state: SvState,
                rng: np.random.Generator) -> tuple[float, float, float]:
-    """One Gibbs/MH pass over (mu_h, rho_h, sig2_h) given the log-variance path.
+    """One Gibbs/MH pass over (mu_h, rho_h, sig2_h) given the log-variance path
+    (Kastner & Fruhwirth-Schnatter 2014, CSDA).
 
-    mu_h is Gaussian. rho_h takes a truncated-normal proposal from the t >= 2
-    likelihood with an MH correction for the Beta prior and the stationary
-    initial term (Kastner & Fruhwirth-Schnatter 2014, CSDA). sig2_h is a
-    generalized inverse Gaussian draw (Hormann & Leydold 2014, Stat. Comput.).
-    The samplers match scipy 1.17's truncnorm/beta/geninvgauss streams draw
-    for draw.
+    mu_h is a Gaussian draw, rho_h an independence MH move (``_sv_rho_move``)
+    and sig2_h an exact draw from its generalized inverse Gaussian
+    conditional by rejection from an inverse-gamma envelope with a shifted
+    scale (``_sv_sig2_draw``).
     """
     T = h.size
-    priors = SV_PRIORS
     mu, rho, q = state.mu_h, state.rho_h, state.sig2_h
 
     # mu_h | h, rho, q  (Gaussian)
-    prec = 1.0 / priors.mu_var + (1.0 - rho * rho) / q + (T - 1) * (1.0 - rho) ** 2 / q
+    prec = 1.0 / SV_PRIORS.mu_var + (1.0 - rho * rho) / q + (T - 1) * (1.0 - rho) ** 2 / q
     num = (1.0 - rho * rho) * h[0] / q + (1.0 - rho) * np.sum(h[1:] - rho * h[:-1]) / q
     mu = float(num / prec + math.sqrt(1.0 / prec) * rng.standard_normal())
 
-    # rho_h | h, mu, q  (truncated-normal proposal from the t>=2 likelihood,
-    # MH-corrected by the Beta prior and the stationary initial term)
     z = h - mu
-    sz = float(z[:-1] @ z[:-1])
-    if sz > 1e-12:
-        mean_l = float(z[1:] @ z[:-1]) / sz
-        sd_l = math.sqrt(q / sz)
-        lo, hi = (-1.0 + 1e-6 - mean_l) / sd_l, (1.0 - 1e-6 - mean_l) / sd_l
-        prop = _truncnorm_rvs(lo, hi, mean_l, sd_l, rng)
-
-        def _extra(r: float) -> float:
-            return (_beta_logpdf((r + 1.0) / 2.0, priors.rho_a, priors.rho_b)
-                    + 0.5 * math.log1p(-r * r) - (1.0 - r * r) * z[0] ** 2 / (2.0 * q))
-
-        if math.log(rng.uniform()) < _extra(prop) - _extra(rho):
-            rho = prop
-
-    # sig2_h | h, mu, rho: generalized inverse Gaussian under the Gamma prior
-    S = (1.0 - rho * rho) * z[0] ** 2 + float(np.sum((z[1:] - rho * z[:-1]) ** 2))
-    S = max(S, 1e-12)
-    psi = 2.0 * priors.sig_rate
-    p = priors.sig_shape - 0.5 * T
-    b = math.sqrt(S * psi)
-    q_new = _gig_rvs(p, b, math.sqrt(S / psi), rng)
-    return mu, rho, max(q_new, 1e-12)
+    rho = _sv_rho_move(z, rho, q, rng)
+    S = float((1.0 - rho * rho) * z[0] ** 2 + np.sum((z[1:] - rho * z[:-1]) ** 2))
+    q = _sv_sig2_draw(max(S, 1e-12), T, rng)
+    return mu, rho, max(q, 1e-12)
 
 
 def sv_update(resid: np.ndarray, state: SvState, rng: np.random.Generator) -> SvState:

@@ -85,7 +85,9 @@ def chol_psd(M: np.ndarray, what: str = "matrix"):
     """Lower Cholesky factor with escalating diagonal jitter.
 
     Jitter starts at 1e-8*scale and grows tenfold to 1e-4*scale, with scale
-    the largest diagonal entry, before raising.
+    the largest diagonal entry, before raising. A factor that needed jitter
+    warns, naming ``what`` and the rung, so a cell's warning counts tally
+    its escalations by rung.
     """
     M = np.asarray(M, dtype=float)
     scale = None
@@ -103,6 +105,8 @@ def chol_psd(M: np.ndarray, what: str = "matrix"):
         # L[i, i]^2 = M[i, i] - sum_{j<i} L[i, j]^2 takes in the rest of row i,
         # so a finite diagonal means a finite lower triangle, all that is read.
         if np.all(np.isfinite(np.diagonal(c[0]))):
+            if rel:
+                warnings.warn(f"{what}: Cholesky needed jitter {rel:g} x the largest diagonal")
             return c
     raise SingularKernelError(f"{what}: Cholesky failed at maximum jitter {_JITTERS[-1] * scale:g}")
 

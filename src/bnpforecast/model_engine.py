@@ -151,16 +151,15 @@ class ChainState:
 class PosteriorDraws:
     """Retained draws stored columnarly plus per-draw predictive inputs;
     ``origin_mean`` (without the window level) and ``origin_var`` are the
-    mean block's moments at the forecast origin."""
+    mean block's moments at the forecast origin, and ``err_mixture`` holds,
+    for the DPM kinds, each draw's (weights, means, variances or None)."""
 
     spec: ModelSpec
     window: WindowData
     scalars: dict[str, np.ndarray]
     origin_mean: np.ndarray
     origin_var: np.ndarray
-    err_weights: list | None
-    err_means: list | None
-    err_vars: list | None
+    err_mixture: list | None
     ifs: dict[str, float]
     accept: dict[str, float]
     runtime: float
@@ -647,10 +646,7 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
     scalars: dict[str, np.ndarray] = {}
     origin_mean = np.empty(n_ret)
     origin_var = np.empty(n_ret)
-    dpm_kind = spec.error_kind in ("DPM", "DPMSV")
-    err_w = [] if dpm_kind else None
-    err_m = [] if dpm_kind else None
-    err_v = [] if spec.error_kind == "DPM" else None
+    err_mixture = [] if spec.error_kind in ("DPM", "DPMSV") else None
     kept = 0
     for i in range(cfg.n_iter):
         if i == cfg.n_burn:
@@ -670,11 +666,10 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
                 zeta = None if state.tau2 is None else 1.0 / state.tau2
                 origin_mean[kept], origin_var[kept] = ctx.origin_moments(
                     state.hyper, state.f, zeta)
-            if dpm_kind:
-                err_w.append(state.error.dpm.weights.copy())
-                err_m.append(state.error.dpm.comp_mean.copy())
-                if err_v is not None:
-                    err_v.append(state.error.dpm.comp_var.copy())
+            if err_mixture is not None:
+                dpm = state.error.dpm
+                err_mixture.append((dpm.weights.copy(), dpm.comp_mean.copy(),
+                                    None if dpm.comp_var is None else dpm.comp_var.copy()))
             kept += 1
     ifs = {name: inefficiency_factor(vals) for name, vals in scalars.items()
            if np.std(vals) > 0.0}
@@ -684,7 +679,7 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
     return PosteriorDraws(
         spec=spec, window=data, scalars=scalars,
         origin_mean=origin_mean, origin_var=origin_var,
-        err_weights=err_w, err_means=err_m, err_vars=err_v,
+        err_mixture=err_mixture,
         ifs=ifs, accept=accept,
         runtime=time.perf_counter() - t0, n_retained=kept)
 
@@ -709,9 +704,9 @@ def _error_mixture_for_draw(spec: ModelSpec, draws: PosteriorDraws, i: int,
         var = math.exp(hv)
         if kind == "SV":
             return np.ones(1), np.zeros(1), np.array([var])
-        w = draws.err_weights[i]
-        return w, draws.err_means[i], np.full(w.size, var)
-    return draws.err_weights[i], draws.err_means[i], draws.err_vars[i]
+        w, means, _ = draws.err_mixture[i]
+        return w, means, np.full(w.size, var)
+    return draws.err_mixture[i]
 
 
 def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,

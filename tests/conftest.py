@@ -123,3 +123,11 @@ def engine_conditional(mean_kind, X, r, sigma, hyper, zeta=None, ctx=None):
     W = np.column_stack([me._draw_f(ctx, post, UnitRng(i)) - fbar
                          for i in range(zero.n)])
     return post.loglik, fbar, W @ W.T
+
+
+def geweke_z(chain, direct, n_batches=50):
+    """z-score of a chain's mean against direct draws' mean (Geweke 2004),
+    with a batch-means standard error for the chain."""
+    means = chain[: chain.size // n_batches * n_batches].reshape(n_batches, -1).mean(axis=1)
+    se2 = means.var(ddof=1) / n_batches + direct.var() / direct.size
+    return (chain.mean() - direct.mean()) / np.sqrt(se2)

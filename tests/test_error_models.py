@@ -27,11 +27,11 @@ from bnpforecast.error_models import (
     _SV_M,
     _SV_P,
     _SV_V,
-    _beta_logpdf,
-    _gig_rvs,
     _sv_ffbs,
     _sv_indicators,
-    _truncnorm_rvs,
+    _sv_params,
+    _sv_rho_move,
+    _sv_sig2_draw,
     error_mean_offsets,
     error_sweep,
     error_variance_diag,
@@ -51,7 +51,7 @@ from bnpforecast.error_models import (
     update_truncation,
 )
 
-from conftest import mixture_density
+from conftest import geweke_z, mixture_density
 
 
 def _iact(x, L=200):
@@ -646,77 +646,153 @@ def test_sv_recovers_persistence():
 
 
 # ---------------------------------------------------------------------------
-# AR(1) parameter samplers: draw-for-draw parity with scipy.stats
+# AR(1) parameter block: exact moves and getting-it-right checks
 
 
-def _twin_generators(seed):
-    return np.random.default_rng(seed), np.random.default_rng(seed)
-
-
-def test_truncnorm_matches_scipy_stream():
-    # (mean, sd) of the rho_h proposal as _sv_params forms it; the grid puts
-    # the mean inside, at and beyond +-1 with tiny to huge sd, so the
-    # interval (lo, hi) sits in the left tail, the right tail, across zero,
-    # and is narrow in standard units when sd is large. lo = 0 exactly takes
-    # scipy's right-tail inverse with the central mass formula.
-    cases = [(0.0, 2.5, 0.1, 0.2)]
-    for mean_l in (-3.0, -1.2, -1.0, -0.999999, -0.5, 0.0, 0.4, 0.98, 0.999999, 1.0, 1.5, 6.0):
-        for sd_l in (1e-7, 1e-3, 0.05, 0.3, 2.0, 40.0):
-            cases.append(((-1.0 + 1e-6 - mean_l) / sd_l, (1.0 - 1e-6 - mean_l) / sd_l,
-                          mean_l, sd_l))
-    mass_cases, ppf_sides = set(), set()
-    for lo, hi, loc, scale in cases:
-        mass_cases.add("left" if hi <= 0 else "right" if lo > 0 else "central")
-        ppf_sides.add(lo < 0)
-        for seed in range(3):
-            r_ref, r_port = _twin_generators(1000 * seed + 7)
-            ref = float(stats.truncnorm.rvs(lo, hi, loc=loc, scale=scale, random_state=r_ref))
-            assert _truncnorm_rvs(lo, hi, loc, scale, r_port) == ref, (lo, hi, loc, scale)
-            assert r_port.bit_generator.state == r_ref.bit_generator.state
-    assert mass_cases == {"left", "right", "central"}
-    assert ppf_sides == {True, False}
-    with pytest.raises(ValueError, match="lo < hi"):
-        _truncnorm_rvs(1.0, 1.0, 0.0, 1.0, r_port)
-
-
-def test_beta_logpdf_matches_scipy():
-    priors = SvPriors()
-    rhos = np.concatenate([np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 2001), [2.0 / 3.0]])
-    for r in rhos:
-        x = (float(r) + 1.0) / 2.0
-        assert _beta_logpdf(x, priors.rho_a, priors.rho_b) == float(
-            stats.beta.logpdf(x, priors.rho_a, priors.rho_b))
-
-
-@pytest.mark.parametrize("T", [4, 40, 194])
-def test_gig_matches_scipy_stream(T):
-    # sig2_h | h ~ GIG as _sv_params parameterizes it, over sums of squared
-    # innovations S from near-degenerate to very dispersed
+@pytest.mark.parametrize("S, T", [(0.05, 4), (20.0, 4), (3.0, 40), (200.0, 40), (20.0, 194)])
+def test_sig2_draw_matches_geninvgauss(S, T):
+    # sig2_h | h prop. to q^(sig_shape - 1 - T/2) exp(-S/(2q) - sig_rate q) is
+    # GIG(sig_shape - T/2, sqrt(2 S sig_rate)) scaled by sqrt(S/(2 sig_rate));
+    # (20, 4) and (200, 40) put q near 3 and 5, where exp(-sig_rate q) alone
+    # would keep few draws
     priors = SvPriors()
     psi = 2.0 * priors.sig_rate
-    p = priors.sig_shape - 0.5 * T
-    for S in np.geomspace(1e-4, 1e4, 33):
-        S = float(S)
-        b = math.sqrt(S * psi)
-        scale = math.sqrt(S / psi)
-        r_ref, r_port = _twin_generators(int(S * 1e4) % 9973 + T)
-        for _ in range(5):
-            ref = float(stats.geninvgauss.rvs(p, b, scale=scale, random_state=r_ref))
-            assert _gig_rvs(p, b, scale, r_port) == ref, (T, S)
-        assert r_port.bit_generator.state == r_ref.bit_generator.state
+    rng = np.random.default_rng(int(S * 100) + T)
+    draws = np.array([_sv_sig2_draw(S, T, rng) for _ in range(20_000)])
+    ref = stats.geninvgauss.rvs(priors.sig_shape - 0.5 * T, math.sqrt(S * psi),
+                                scale=math.sqrt(S / psi), size=40_000,
+                                random_state=np.random.default_rng(T))
+    assert stats.ks_2samp(draws, ref).pvalue > 1e-3
 
 
-def test_gig_small_p_needs_b_above_one():
-    # |p| < 1 (T = 2) still uses the mode-shift method when b > 1 ...
-    r_ref, r_port = _twin_generators(11)
-    for b in (1.5, 4.0, 30.0):
-        ref = float(stats.geninvgauss.rvs(-0.5, b, scale=b, random_state=r_ref))
-        assert _gig_rvs(-0.5, b, b, r_port) == ref
-    # ... and the methods for |p| < 1 with b <= 1 are not carried
-    with pytest.raises(ValueError, match=r"\|p\| >= 1 or b > 1"):
-        _gig_rvs(-0.5, 0.8, 1.0, r_port)
-    with pytest.raises(ValueError, match="b > 0"):
-        _gig_rvs(-3.0, 0.0, 1.0, r_port)
+def test_sig2_draw_domain_and_cap():
+    with pytest.raises(ValueError, match="T/2 > sig_shape"):
+        _sv_sig2_draw(1.0, 1, np.random.default_rng(0))
+
+    class NoAccept:  # a uniform stream that never accepts
+        def gamma(self, shape):
+            return 1.0
+
+        def random(self):
+            return 1.0
+
+    with pytest.raises(RuntimeError, match=r"50000 tries \(S=2.0, T=5\)"):
+        _sv_sig2_draw(2.0, 5, NoAccept())
+
+
+def _rho_conditional_logpdf(r, z, q):
+    """log p(rho | z, q) up to a constant, from the stationary AR(1) density
+    of the demeaned path z and the Beta prior on (rho + 1)/2."""
+    priors = SvPriors()
+    r = np.asarray(r)[:, None]
+    out = stats.norm.logpdf(z[1:][None, :], r * z[:-1][None, :], math.sqrt(q)).sum(axis=1)
+    out += stats.norm.logpdf(z[0], 0.0, np.sqrt(q / (1.0 - r[:, 0] ** 2)))
+    return out + stats.beta.logpdf((r[:, 0] + 1.0) / 2.0, priors.rho_a, priors.rho_b)
+
+
+@pytest.mark.parametrize("case", ["interior", "near-one"])
+def test_rho_move_matches_quadrature_oracle(case):
+    # the independence move run alone, with z and q held, against the
+    # quadrature CDF of its target; near-one puts the proposal mean at 0.999,
+    # so about half the proposals fall outside the bounds and are rejected
+    if case == "interior":
+        gen = np.random.default_rng(4)
+        z = np.empty(12)
+        z[0] = gen.standard_normal()
+        for t in range(1, z.size):
+            z[t] = 0.5 * z[t - 1] + math.sqrt(0.5) * gen.standard_normal()
+        q = 0.5
+    else:
+        z = 0.999 ** np.arange(6)
+        q = 0.03**2 * float(z[:-1] @ z[:-1])
+    sz = float(z[:-1] @ z[:-1])
+    mean_l, sd_l = float(z[1:] @ z[:-1]) / sz, math.sqrt(q / sz)
+    outside = stats.norm.cdf(-1.0 + 1e-6, mean_l, sd_l) + stats.norm.sf(1.0 - 1e-6, mean_l, sd_l)
+    assert (outside > 0.4) == (case == "near-one")
+
+    rng = np.random.default_rng(9)
+    rho = 0.5
+    draws = np.empty(50_000)
+    for i in range(draws.size):
+        rho = _sv_rho_move(z, rho, q, rng)
+        draws[i] = rho
+    grid = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 400_001)
+    logp = _rho_conditional_logpdf(grid, z, q)
+    p = np.exp(logp - logp.max())
+    cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * 0.5 * np.diff(grid))])
+    cdf /= cdf[-1]
+    qs = np.linspace(0.01, 0.99, 99)
+    qgrid = np.interp(qs, cdf, grid)
+    ecdf = np.searchsorted(np.sort(draws), qgrid) / draws.size
+    assert np.max(np.abs(ecdf - qs)) < 0.03
+
+
+def _sv_prior_draws(rng, n, T):
+    """(mu_h, rho_h, sig2_h) from ``SV_PRIORS`` and h from its stationary AR(1)."""
+    p = SvPriors()
+    mu = math.sqrt(p.mu_var) * rng.standard_normal(n)
+    rho = 2.0 * rng.beta(p.rho_a, p.rho_b, n) - 1.0
+    q = rng.gamma(p.sig_shape, 1.0 / p.sig_rate, n)
+    return mu, rho, q, _sv_stationary_paths(mu, rho, q, T, rng)
+
+
+def _sv_stationary_paths(mu, rho, q, T, rng):
+    h = np.empty((mu.size, T))
+    h[:, 0] = mu + np.sqrt(q / (1.0 - rho * rho)) * rng.standard_normal(mu.size)
+    for t in range(1, T):
+        h[:, t] = mu + rho * (h[:, t - 1] - mu) + np.sqrt(q) * rng.standard_normal(mu.size)
+    return h
+
+
+def _sv_gets_it_right(seed, T, n_chain, n_batches, block):
+    """Geweke (2004) successive-conditional check. Starting from a prior
+    draw, the chain alternates the data given the state with the sampler's
+    moves given the data, which leaves the joint prior invariant; its test
+    functions (mu_h, rho_h, sig2_h, log sig2_h, h_T and the mean of h) are
+    compared with 200,000 direct prior draws by z-scores with batch-means
+    standard errors. Without ``block`` the data are h itself,
+    drawn from its stationary AR(1), and the move is ``_sv_params``. With
+    ``block`` the data are ystar_t = h_t + m_{s_t} + N(0, v_{s_t}), s_t drawn
+    from the 10-component mixture (_SV_P, _SV_M, _SV_V) that the block
+    assumes, not from log chi^2_1 with its 1e-6 floor, so that the check
+    sees the sampler and not the approximation; the moves are
+    ``_sv_indicators``, ``_sv_ffbs`` and ``_sv_params``, as ``sv_update``
+    runs them."""
+    rng = np.random.default_rng(seed)
+    mu, rho, q, h_iid = _sv_prior_draws(rng, 200_000, T)
+    theta = (float(mu[0]), float(rho[0]), float(q[0]))
+    h = h_iid[0].copy()
+    chain = np.empty((n_chain, 5))
+    for i in range(n_chain):
+        if block:
+            s = rng.choice(_SV_P.size, size=T, p=_SV_P)
+            ystar = h + _SV_M[s] + np.sqrt(_SV_V[s]) * rng.standard_normal(T)
+            s = _sv_indicators(ystar, h, rng)
+            h = _sv_ffbs(ystar, s, *theta, rng)
+        else:
+            h = _sv_stationary_paths(*(np.array([v]) for v in theta), T, rng)[0]
+        theta = _sv_params(h, SvState(h, *theta), rng)
+        chain[i] = (*theta, h[-1], h.mean())
+
+    def tests(mu, rho, q, h_last, h_mean):
+        return {"mu_h": mu, "rho_h": rho, "sig2_h": q, "log sig2_h": np.log(q),
+                "h_T": h_last, "mean h": h_mean}
+
+    got = tests(*chain.T)
+    want = tests(mu, rho, q, h_iid[:, -1], h_iid.mean(axis=1))
+    for name in got:
+        z = geweke_z(got[name], want[name], n_batches)
+        assert abs(z) < 4.0, (name, z)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sv_params_gets_it_right(seed):
+    _sv_gets_it_right(seed, T=8, n_chain=30_000, n_batches=25, block=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sv_block_gets_it_right(seed):
+    _sv_gets_it_right(seed, T=6, n_chain=40_000, n_batches=20, block=True)
 
 
 # ---------------------------------------------------------------------------
@@ -751,17 +827,17 @@ def test_error_variance_diag_cases():
 # error predictive at the forecast origin (the engine's per-draw mixture)
 
 
-def _predictive_mixture(error_kind, scalars, h, rng, weights=None, means=None,
-                        variances=None):
+def _predictive_mixture(error_kind, scalars, h, rng, mixture=None):
     """(weights, offsets, variances) of the error predictive h steps ahead
-    from retained draw 0, as ``predictive_simulate`` takes them."""
+    from retained draw 0, as ``predictive_simulate`` takes them; ``mixture``
+    is the draw's (weights, means, variances or None) for the DPM kinds."""
     ds = DatasetSpec("Moderate", "PRICE", h, False)
     spec = ModelSpec("UC", error_kind, ds)
     window = me.WindowData(y=np.zeros(5), X=None, x_new=None, horizon=h)
     draws = me.PosteriorDraws(
         spec=spec, window=window, scalars={k: np.atleast_1d(v) for k, v in scalars.items()},
         origin_mean=np.zeros(1), origin_var=np.zeros(1),
-        err_weights=weights, err_means=means, err_vars=variances,
+        err_mixture=None if mixture is None else [mixture],
         ifs={}, accept={}, runtime=0.0, n_retained=1)
     return me._error_mixture_for_draw(spec, draws, 0, h, rng)
 
@@ -771,8 +847,8 @@ def test_predictive_draw_homosk_and_single_atom():
     w, off, var = _predictive_mixture("Homosk", {"sigma2": 0.81}, 1, rng)
     assert (w.tolist(), off.tolist(), var.tolist()) == ([1.0], [0.0], [0.81])
 
-    w, off, var = _predictive_mixture("DPM", {}, 1, rng, weights=[np.ones(1)],
-                                      means=[np.array([0.3])], variances=[np.array([0.7])])
+    w, off, var = _predictive_mixture("DPM", {}, 1, rng,
+                                      (np.ones(1), np.array([0.3]), np.array([0.7])))
     assert (w.tolist(), off.tolist(), var.tolist()) == ([1.0], [0.3], [0.7])
 
 
@@ -795,7 +871,7 @@ def test_predictive_mixture_hybrid_shares_variance():
     scalars = {"h_last": 0.2, "mu_h": 0.0, "rho_h": 0.9, "sig2_h": 0.1}
     w, off, var = _predictive_mixture(
         "DPMSV", scalars, 2, np.random.default_rng(20),
-        weights=[np.array([0.6, 0.4])], means=[np.array([-0.5, 0.5])])
+        (np.array([0.6, 0.4]), np.array([-0.5, 0.5]), None))
     assert_allclose(w, [0.6, 0.4])
     assert_allclose(off, [-0.5, 0.5])
     assert var[0] == var[1] > 0.0

@@ -4,6 +4,8 @@ and the predictive at the forecast origin. Each piece is tested where the
 engine computes it (``gp_core`` and ``model_engine``), against dense
 plain-inverse oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,11 +274,14 @@ def test_chol_psd_failure_modes():
         M[2, 0] = bad
         with pytest.raises(SingularKernelError):
             chol_psd(M)
-    c = chol_psd(np.eye(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a clean factorization warns nothing
+        c = chol_psd(np.eye(3))
     assert_allclose(np.tril(c[0]) @ np.tril(c[0]).T, np.eye(3), atol=1e-12)
-    # rank-deficient PSD succeeds through the jitter ladder
+    # rank-deficient PSD succeeds through the jitter ladder, and says at which rung
     M = np.ones((4, 4))
-    c = chol_psd(M)
+    with pytest.warns(UserWarning, match=r"^ones: Cholesky needed jitter 1e-0\d x the largest"):
+        c = chol_psd(M, what="ones")
     L = np.tril(c[0])
     assert np.max(np.abs(L @ L.T - M)) < 1e-3
 

@@ -51,6 +51,7 @@ from conftest import (
     dense_kernel,
     engine_conditional,
     engine_context,
+    geweke_z,
     run_chain_recording_f,
 )
 
@@ -88,7 +89,7 @@ def _hand_draws(spec, window, scalars, f, n):
             mean[i], var[i] = ctx.origin_moments(hyper, f[i], zeta)
     return PosteriorDraws(spec=spec, window=window, scalars=scalars,
                           origin_mean=mean, origin_var=var,
-                          err_weights=None, err_means=None, err_vars=None,
+                          err_mixture=None,
                           ifs={}, accept={}, runtime=0.0, n_retained=n)
 
 
@@ -423,7 +424,8 @@ def test_mean_block_exact_where_kernel_needs_jitter(mean_kind, zeta):
     the jitter in the prior draw g ~ N(0, K + eps I): (I - G) eps (I - G)'
     with G = K (K + nI)^-1 under homoskedastic noise, at most eps
     entrywise. The oracle K1 = K - KV (V'KV + I/zeta)^-1 V'K, with V
-    spanning I - Phi0, needs no K^-1."""
+    spanning I - Phi0, needs no K^-1. The factor of K warns once, naming
+    its rung of the ladder."""
     rng = np.random.default_rng(31)
     T = 25
     X = rng.standard_normal((T, 3))
@@ -431,7 +433,11 @@ def test_mean_block_exact_where_kernel_needs_jitter(mean_kind, zeta):
     sigma = np.full(T, 0.25)
     hyper = KernelHyper(xi=0.9, phi=1e-4)
     ctx = engine_context(mean_kind, X)
-    ll, fbar, cov = engine_conditional(mean_kind, X, r, sigma, hyper, zeta, ctx=ctx)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ll, fbar, cov = engine_conditional(mean_kind, X, r, sigma, hyper, zeta, ctx=ctx)
+    assert [str(w.message) for w in caught] == [
+        "kernel matrix: Cholesky needed jitter 1e-08 x the largest diagonal"]
     Kmat = dense_kernel(X, hyper)
     L = np.tril(ctx.kernel_pieces(hyper).chol_k())
     eps = np.max(np.diag(L @ L.T) - np.diag(Kmat))
@@ -489,11 +495,6 @@ def test_linear_conditional_equals_subspace_conditional_at_full_weight():
     assert abs(ll_lin - ll_sub) / abs(ll_sub) < 1e-6
     assert _rel(mean_lin, mean_sub) < 1e-6
     assert _rel(cov_lin, cov_sub) < 1e-6
-
-
-def _batch_se(x, n_batches=50):
-    means = x[: x.size // n_batches * n_batches].reshape(n_batches, -1).mean(axis=1)
-    return means.std(ddof=1) / np.sqrt(n_batches)
 
 
 def _mean_block_gets_it_right(monkeypatch, mean_kind, move_tau2=True):
@@ -567,8 +568,7 @@ def _mean_block_gets_it_right(monkeypatch, mean_kind, move_tau2=True):
                 chain[:, 3:])
     want = tests(xi, phi, tau2, f_iid)
     for name in got:
-        a, b = got[name], want[name]
-        z = (a.mean() - b.mean()) / np.sqrt(_batch_se(a) ** 2 + b.var() / b.size)
+        z = geweke_z(got[name], want[name])
         assert abs(z) < 4.0, (name, z)
 
 
@@ -698,9 +698,9 @@ def test_run_chain_deterministic_given_seed():
         assert np.array_equal(a.origin_mean, b.origin_mean)
         for name in a.scalars:
             assert np.array_equal(a.scalars[name], b.scalars[name])
-        if a.err_weights is not None:
-            assert all(np.array_equal(u, v)
-                       for u, v in zip(a.err_weights, b.err_weights))
+        if a.err_mixture is not None:
+            assert all(np.array_equal(u, v) for da, db in zip(a.err_mixture, b.err_mixture)
+                       for u, v in zip(da, db))
 
 
 @pytest.mark.filterwarnings(SHORT_TRACE)
@@ -870,9 +870,8 @@ def test_predictive_bimodal_mixture():
                "n_occupied": np.full(n, 2.0)}
     spec = ModelSpec("Linear", "DPM", DS_H1)
     draws = _hand_draws(spec, window, scalars, np.zeros((n, 50)), n)
-    draws.err_weights = [np.array([0.5, 0.5]) for _ in range(n)]
-    draws.err_means = [np.array([-4.0, 4.0]) for _ in range(n)]
-    draws.err_vars = [np.array([0.25, 0.25]) for _ in range(n)]
+    draws.err_mixture = [(np.array([0.5, 0.5]), np.array([-4.0, 4.0]), np.array([0.25, 0.25]))
+                         for _ in range(n)]
     out = predictive_simulate(spec, draws, np.random.default_rng(9))
     assert np.mean(np.abs(out.draws) < 2.0) < 0.01
     assert 0.4 < np.mean(out.draws < -2.0) < 0.6

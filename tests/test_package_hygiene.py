@@ -1,8 +1,9 @@
 """Static checks of the package's modules: no import left behind by a
 deletion, no ``__all__`` entry naming something that is gone, no defaulted
 parameter that no call sets, no runtime dependency the code does not
-import, no configuration field that no config file can set, and no schema
-keyword the config check does not read."""
+import, no scipy import outside the modules that need it, no configuration
+field that no config file can set, and no schema keyword the config check
+does not read."""
 
 import ast
 import dataclasses
@@ -186,6 +187,21 @@ def test_runtime_dependencies_are_what_the_package_imports():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"__future__", PACKAGE.name}
     assert third_party == declared
+
+
+def test_only_gp_core_and_model_engine_import_scipy():
+    """scipy is imported, at module or function level, only where the linear
+    algebra and the GP hyperparameter moves need it: ``gp_core`` and
+    ``model_engine``. The error models draw with numpy alone."""
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.stem)
+    assert "gp_core" in importers  # the scan sees scipy imports at all
+    assert importers <= {"gp_core", "model_engine"}, importers
 
 
 def test_config_check_reads_every_schema_keyword():

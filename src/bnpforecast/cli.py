@@ -6,41 +6,45 @@ tables, cumulative paths, subsample averages, calibration grids), and
 ``summarize-lasso`` (penalized linear summaries of the quantile paths).
 
 Every cell of ``run`` executes in a worker process, and ``workers=1`` is
-a pool of one: there is no in-process path. Workers are forked from a
-multiprocessing fork server (so ``run`` needs a POSIX host): a fresh
-interpreter, started with the thread-count defaults below in its
-environment, that imports this module and the samplers once. So every
-worker uses single-threaded numerics whatever the caller has imported;
-with each cell owning an independent random stream derived from the
-master seed, results are byte-identical for any worker count. ``run``
-stops the server and waits for it, so its resource usage covers the
-workers and nothing outlives it.
+a pool of one: there is no in-process path. ``run`` imports the samplers
+once, in its own process, and forks its workers from itself (so ``run``
+needs a POSIX host): each worker starts with the engine and the panel
+already loaded. The thread-count defaults below are set before numpy
+loads, so the workers inherit single-threaded numerics; with each cell
+owning an independent random stream derived from the master seed,
+results are byte-identical for any worker count. A caller that imported
+numpy before this module, with those variables unset, gets a warning from
+``run``: its workers inherit that caller's BLAS threads. ``run`` joins
+its workers, so its resource usage covers them and nothing outlives it.
 
-Each command imports only what it uses. Only the server and its workers
-import the samplers (``model_engine``, ``gp_core``, ``error_models``) and
-scipy, which would cost every other command, and ``run``'s own process,
-most of its start-up time. So ``forecast_cell`` is a forwarder that
-imports the engine when called, and cells reach it through this module's
-global, which callers may wrap. Only ``run`` imports ``multiprocessing``
-and ``concurrent.futures``, and only ``summarize-lasso`` imports
-``linear_summary``. A config is checked against ``config_schema.json`` by
-``schema_violation``, which reads just the keywords that schema uses, so
-no command needs a JSON Schema library. Warnings raised in a cell are
-counted in its manifest entry.
+Each command imports only what it uses. Only ``run``, and only when it
+has cells to estimate, imports the samplers (``model_engine``,
+``gp_core``, ``error_models``) and scipy, which would cost every other
+command most of its start-up time. So ``forecast_cell`` is a forwarder
+that imports the engine when called, and cells reach it through this
+module's global, which callers may wrap. Only ``run`` imports
+``multiprocessing`` and ``concurrent.futures``, and only
+``summarize-lasso`` imports ``linear_summary``. A config is checked
+against ``config_schema.json`` by ``schema_violation``, which reads just
+the keywords that schema uses, so no command needs a JSON Schema library.
+Warnings raised in a cell are counted in its manifest entry.
 """
 from __future__ import annotations
 
 import os
+import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# numpy loaded before the defaults below could reach its BLAS
+_BLAS_NOT_PINNED = "numpy" in sys.modules and not all(v in os.environ for v in _THREAD_VARS)
+for _var in _THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
 import csv
 import importlib.resources
 import json
-import sys
 import traceback
 import warnings
 from collections import Counter
@@ -359,14 +363,14 @@ def _atomic_write(path: str, write_fn) -> None:
 
 
 def forecast_cell(*args, **kwargs):
-    """``model_engine.forecast_cell``, imported at call time so that only
-    the processes that estimate cells load the samplers and scipy."""
+    """``model_engine.forecast_cell``, imported at call time so that the
+    commands that estimate no cell never load the samplers and scipy."""
     from .model_engine import forecast_cell as engine_forecast_cell
     return engine_forecast_cell(*args, **kwargs)
 
 
 def exec_cell(task: dict) -> dict:
-    """Estimate one cell in a pool worker set up by ``_init_worker``; write its
+    """Estimate one cell in a process set up by ``_init_worker``; write its
     draws and scores and return a status record, with a count of each
     warning the cell raised."""
     with warnings.catch_warnings(record=True) as caught:
@@ -481,31 +485,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _start_fork_server() -> None:
-    """Start the fork server with this package's import root on its
-    PYTHONPATH, then restore the caller's. The server preloads without the
-    caller's ``sys.path`` (Python 3.11's ``forkserver.main`` ignores it), so
-    a package found through an entry added at run time would fail to
-    preload, silently, and every worker would import scipy itself."""
-    import multiprocessing.forkserver
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    saved = os.environ.get("PYTHONPATH")
-    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, saved) if p)
-    try:
-        multiprocessing.forkserver.ensure_running()
-    finally:
-        if saved is None:
-            del os.environ["PYTHONPATH"]
-        else:
-            os.environ["PYTHONPATH"] = saved
-
-
 def cmd_run(cfg: RunConfig) -> int:
-    import multiprocessing.forkserver
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-    panel = load_panel(cfg.panel, cfg.sidecar)
-    cells = enumerate_cells(panel, cfg)
+    _init_worker(cfg.panel, cfg.sidecar)  # before the fork: the workers inherit the panel
+    cells = enumerate_cells(_WORKER["panel"], cfg)
     os.makedirs(os.path.join(cfg.out_dir, "draws"), exist_ok=True)
     os.makedirs(os.path.join(cfg.out_dir, "cells"), exist_ok=True)
     pending = longest_first(c for c in cells if not cell_done(cfg.out_dir, c, cfg.draws_format))
@@ -522,31 +504,31 @@ def cmd_run(cfg: RunConfig) -> int:
     results: dict[str, dict] = {}
     broken = None
     if tasks:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        from . import model_engine  # imported once, here: every worker inherits it
+        if _BLAS_NOT_PINNED:
+            warnings.warn("numpy was imported before bnpforecast.cli set the BLAS thread "
+                          "defaults: run's workers inherit this process's BLAS threads",
+                          RuntimeWarning)
         # One path for any worker count: workers=1 is a pool of one, so every
-        # cell runs under the same single-threaded numerics. Workers fork
-        # from a server that imported the engine, and the pool's worker
-        # loop, once.
-        ctx = multiprocessing.get_context("forkserver")
-        ctx.set_forkserver_preload(["bnpforecast.cli", "bnpforecast.model_engine",
-                                    "concurrent.futures.process"])
-        try:
-            _start_fork_server()
-            with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=ctx,
-                                     initializer=_init_worker,
-                                     initargs=(cfg.panel, cfg.sidecar)) as pool:
-                for fut in as_completed([pool.submit(exec_cell, t) for t in tasks]):
-                    try:
-                        rec = fut.result()
-                    except BrokenProcessPool as exc:  # a worker died; no queued cell will run
-                        broken = f"{type(exc).__name__}: {exc}"
-                        continue
-                    results[rec["cell"]] = rec
-                    if rec["status"] == "failed":
-                        print(f"FAILED {rec['cell']}: {rec['error']}", file=sys.stderr)
-        finally:
-            # The server reaps the workers; waiting for it here puts their
-            # resource usage in this process's and leaves nothing running.
-            multiprocessing.forkserver._forkserver._stop()
+        # cell runs under the same single-threaded numerics. A fork-context
+        # pool forks all its workers before it starts its own thread, and
+        # leaving the block joins them, so this process's resource usage
+        # covers theirs.
+        with ProcessPoolExecutor(max_workers=cfg.workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            for fut in as_completed([pool.submit(exec_cell, t) for t in tasks]):
+                try:
+                    rec = fut.result()
+                except BrokenProcessPool as exc:  # a worker died; no queued cell will run
+                    broken = f"{type(exc).__name__}: {exc}"
+                    continue
+                results[rec["cell"]] = rec
+                if rec["status"] == "failed":
+                    print(f"FAILED {rec['cell']}: {rec['error']}", file=sys.stderr)
         if broken:
             print(f"worker pool broke: {broken}", file=sys.stderr)
             for c in pending:

@@ -513,8 +513,8 @@ def init_state(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
 # one sweep
 
 
-def uc_trend_update(y: np.ndarray, trend: np.ndarray, error_state: ErrorState,
-                    rng: np.random.Generator, trend_var: float) -> tuple[np.ndarray, float]:
+def uc_trend_update(y: np.ndarray, error_state: ErrorState, rng: np.random.Generator,
+                    trend_var: float) -> tuple[np.ndarray, float]:
     """Random-walk trend path plus the conjugate innovation-variance draw.
 
     Observation y_t = trend_t + e_t with per-t means/variances taken from
@@ -559,8 +559,7 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
 
     # (b) mean block given the error state
     if spec.mean_kind == "UC":
-        state.trend, state.trend_var = uc_trend_update(
-            y, state.trend, state.error, rng, state.trend_var)
+        state.trend, state.trend_var = uc_trend_update(y, state.error, rng, state.trend_var)
         _check_finite(state.trend, "trend", state.iteration)
     else:
         r = y - offsets

@@ -1,4 +1,11 @@
 import os
+
+# As the CLI does, before numpy loads: single-threaded BLAS in this process,
+# so the workers that an in-process ``main(["run", ...])`` forks are too.
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from unittest import mock
 
 import numpy as np

@@ -564,10 +564,8 @@ def test_run_with_killed_worker_writes_manifest(panel_files, tmp_path):
     while not (cell_dir.is_dir() and any(n.endswith(".json") for n in os.listdir(cell_dir))):
         assert proc.poll() is None and time.monotonic() < deadline
         time.sleep(0.02)
-    helpers = _children(proc.pid)  # the fork server and the resource tracker
-    servers = [h for h in helpers if _children(h)]
-    workers = [w for h in servers for w in _children(h)]
-    assert len(servers) == 1 and len(workers) == 1  # a pool of one, on the second cell
+    workers = _children(proc.pid)  # run's only children are its workers
+    assert len(workers) == 1  # a pool of one, on the second cell
     os.kill(workers[0], signal.SIGKILL)
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == EXIT_PARTIAL, err
@@ -576,26 +574,28 @@ def test_run_with_killed_worker_writes_manifest(panel_files, tmp_path):
         status = [c["status"] for c in json.load(fh)["cells"]]
     assert len(status) == 4 and "unfinished" in status
     assert set(status) <= {"ok", "unfinished"}
-    # run reaped the server, and the server its workers, before run exited
-    assert [p for p in servers + workers if os.path.exists(f"/proc/{p}")] == []
+    # run reaped its worker before it exited
+    assert [p for p in workers if os.path.exists(f"/proc/{p}")] == []
 
-    def running(pid):
-        stat = _proc_stat(pid)
-        return stat is not None and stat[0] != "Z"
-    # the resource tracker exits once run has closed its end of the pipe
-    deadline = time.monotonic() + 10
-    while any(running(p) for p in helpers) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert [p for p in helpers if running(p)] == []
+
+def _wait_for_workers(proc, n):
+    """The pids of ``proc``'s children once there are ``n`` of them."""
+    deadline = time.monotonic() + 120
+    while len(kids := _children(proc.pid)) < n:
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.02)
+    return kids
 
 
 @needs_proc
-def test_fork_server_preloads_package_found_through_sys_path(panel_files, tmp_path):
+def test_workers_fork_from_run_found_through_sys_path(panel_files, tmp_path):
     """A caller that puts ``src`` on ``sys.path`` itself, with no
-    PYTHONPATH: while a cell runs, ``run``'s fork server has imported the
-    engine, so it maps scipy's shared libraries."""
+    PYTHONPATH: while a cell runs, ``run``'s children are its workers, each
+    forked with the engine loaded, so it maps scipy's shared libraries, and
+    none has children of its own. Forking duplicates none of ``run``'s
+    lines on a piped stdout."""
     cfg = _base_config(panel_files, tmp_path / "out")
-    cfg.update(models=["UC-SV"], mcmc={"n_iter": 1500, "n_burn": 100})
+    cfg.update(models=["UC-SV"], mcmc={"n_iter": 1500, "n_burn": 100}, workers=2)
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(bnpforecast.__file__)))
     argv = ["run", "--config", _write_config(tmp_path / "c.json", cfg)]
     code = (f"import sys\nsys.path.insert(0, {src_dir!r})\n"
@@ -603,17 +603,69 @@ def test_fork_server_preloads_package_found_through_sys_path(panel_files, tmp_pa
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.Popen([sys.executable, "-c", code], cwd=tmp_path, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    workers = _wait_for_workers(proc, 2)
+    libs = {}
+    for w in workers:
+        with open(f"/proc/{w}/maps") as fh:
+            libs[w] = {line.split()[-1] for line in fh if ".so" in line}
+    grandchildren = [c for w in workers for c in _children(w)]
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_OK, err
+    assert len(workers) == 2 and grandchildren == []
+    for w in workers:
+        assert any("/scipy" in lib for lib in libs[w]), sorted(libs[w])
+    assert out.count("grid: ") == 1 and out.count("run complete") == 1, out
+
+
+@needs_proc
+def test_run_workers_are_single_threaded(panel_files, tmp_path):
+    """While the GP cells of a CLI ``run`` execute, each worker has one
+    thread: it inherits the one-thread BLAS that ``cli`` set up before
+    numpy loaded, so the kernel factorizations start no BLAS threads."""
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg.update(models=["GP-Homosk"], mcmc={"n_iter": 1000, "n_burn": 100}, workers=2)
+    cmd, env = _entry_point()
+    proc = subprocess.Popen(cmd + ["run", "--config", _write_config(tmp_path / "c.json", cfg)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+    workers = _wait_for_workers(proc, 2)
+    cell_dir = tmp_path / "out" / "cells"
     deadline = time.monotonic() + 120
-    servers = []
-    while not servers:  # the server of a pool with a live worker
+    # once a cell is written, each worker is in, or past, its first GP chain
+    while not any(n.endswith(".json") for n in os.listdir(cell_dir)):
         assert proc.poll() is None and time.monotonic() < deadline
         time.sleep(0.02)
-        servers = [h for h in _children(proc.pid) if _children(h)]
-    with open(f"/proc/{servers[0]}/maps") as fh:
-        libs = {line.split()[-1] for line in fh if ".so" in line}
+    threads = {}
+    for w in workers:
+        with open(f"/proc/{w}/status") as fh:
+            threads[w] = next(line.split()[1] for line in fh if line.startswith("Threads:"))
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == EXIT_OK, err
-    assert any("/scipy" in lib for lib in libs), sorted(libs)
+    assert len(workers) == 2 and set(threads.values()) == {"1"}, threads
+
+
+def test_run_warns_when_numpy_loaded_before_cli(panel_files, tmp_path):
+    """A caller that imports numpy before ``cli``, with the thread variables
+    unset, gets one warning from ``run`` (two runs here) that its workers
+    inherit the caller's BLAS threads. With the variables set, none."""
+    message = "run's workers inherit this process's BLAS threads"
+    cfg = _base_config(panel_files, tmp_path / "out")
+    cfg.update(models=["UC-Homosk"], mcmc={"n_iter": 80, "n_burn": 20},
+               eval_start="2021Q4", eval_end="2021Q4")
+    cfg_path = _write_config(tmp_path / "c.json", cfg)
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(bnpforecast.__file__)))
+    code = ("import sys\nimport numpy\nfrom bnpforecast.cli import main\n"
+            f"sys.exit(max(main(['run', '--config', {cfg_path!r}, '--out', sys.argv[1]]),\n"
+            f"             main(['run', '--config', {cfg_path!r}, '--out', sys.argv[2]])))")
+    unset = {k: v for k, v in os.environ.items()
+             if k not in cli._THREAD_VARS and k != "PYTHONWARNINGS"}
+    unset["PYTHONPATH"] = src_dir
+    for env, count in ((unset, 1), (dict(unset, **dict.fromkeys(cli._THREAD_VARS, "1")), 0)):
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path / f"a{count}"),
+                              str(tmp_path / f"b{count}")], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == EXIT_OK, res.stderr
+        assert res.stderr.count(message) == count, res.stderr
 
 
 def test_failed_cell_logged_grid_continues(panel_files, tmp_path, capsys):
@@ -894,12 +946,14 @@ def test_console_script_roundtrip(panel_files, tmp_path):
     assert "missing.json" in bad.stderr
 
 def test_only_run_workers_import_scipy(experiment, tmp_path):
-    """Each command imports only what it uses. No process but ``run``'s fork
-    server and its workers loads scipy: ``validate``, ``report`` and
-    ``summarize-lasso`` never estimate a cell, and neither does the ``run``
-    process itself. Only ``run`` loads the pool modules, and only
-    ``summarize-lasso`` the LASSO. No process at all imports jsonschema: a
-    stand-in package earlier on every process's path records each import."""
+    """Each command imports only what it uses. No process but ``run`` and
+    its workers loads scipy: ``validate``, ``report`` and
+    ``summarize-lasso`` never estimate a cell. ``run`` imports the engine
+    only when it has cells to run: a rerun into a complete output directory
+    loads neither scipy, the engine nor the pool modules. Only ``run`` loads
+    the pool modules, and only ``summarize-lasso`` the LASSO. No process at
+    all imports jsonschema: a stand-in package earlier on every process's
+    path records each import."""
     out = tmp_path / "out"
     shutil.copytree(os.path.join(experiment["out_dir"], "cells"), out / "cells")
     cfg_path = _write_config(tmp_path / "c.json", dict(experiment["cfg"], out_dir=str(out)))
@@ -921,7 +975,9 @@ def test_only_run_workers_import_scipy(experiment, tmp_path):
         (["report", "--out", str(out)], ("scipy", "bnpforecast.linear_summary") + pool),
         (["report", "--config", cfg_path], ("scipy", "bnpforecast.linear_summary") + pool),
         (["summarize-lasso", "--config", cfg_path], ("scipy",) + pool),
-        (["run", "--config", run_cfg], ("scipy", "bnpforecast.linear_summary")),
+        (["run", "--config", run_cfg], ("bnpforecast.linear_summary",)),
+        (["run", "--config", run_cfg],  # a rerun, with every cell done
+         ("scipy", "bnpforecast.model_engine", "bnpforecast.linear_summary") + pool),
     ]
     for argv, banned in runs:
         code = ("import json, sys, bnpforecast, bnpforecast.cli\n"

@@ -187,7 +187,7 @@ def test_uc_trend_dense_conditioning_oracle():
     state = ErrorState(kind="SV", sv=SvState(h=np.log(sig2), mu_h=0.0,
                                              rho_h=0.5, sig2_h=0.1))
     q = 0.3
-    trend, q_new = uc_trend_update(y, y.copy(), state, ZeroRng(), q)
+    trend, q_new = uc_trend_update(y, state, ZeroRng(), q)
 
     D = np.diff(np.eye(3), axis=0)
     prec = D.T @ D / q + np.diag(1.0 / sig2)
@@ -210,7 +210,7 @@ def test_uc_trend_static_level_limit():
     sig2 = np.array([0.5, 1.0, 2.0, 0.8, 1.2])
     state = ErrorState(kind="SV", sv=SvState(h=np.log(sig2), mu_h=0.0,
                                              rho_h=0.5, sig2_h=0.1))
-    trend, _ = uc_trend_update(y, y.copy(), state, ZeroRng(), 1e-14)
+    trend, _ = uc_trend_update(y, state, ZeroRng(), 1e-14)
     level = ((y[0] / UC_PRIOR_INIT_VAR + np.sum(y / sig2))
              / (1.0 / UC_PRIOR_INIT_VAR + np.sum(1.0 / sig2)))
     assert np.ptp(trend) < 1e-10
@@ -227,7 +227,7 @@ def test_uc_trend_no_information_limit():
     n = 30000
     paths = np.empty((n, y.size))
     for i in range(n):
-        paths[i] = uc_trend_update(y, y.copy(), state, rng, q)[0]
+        paths[i] = uc_trend_update(y, state, rng, q)[0]
     se0 = np.sqrt(UC_PRIOR_INIT_VAR / n)
     assert abs(paths[:, 0].mean() - y[0]) < 3 * se0
     assert abs(paths[:, 0].var() / UC_PRIOR_INIT_VAR - 1.0) < 0.05
@@ -279,7 +279,7 @@ def test_uc_trend_equals_numpy_scalar_oracle(kind, T, q):
         state.dpm.comp_mean = rng.normal(0.0, 0.3, state.dpm.comp_mean.size)
     want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
     want = _uc_trend_numpy(y, state, want_rng, q)
-    got = uc_trend_update(y, y.copy(), state, got_rng, q)
+    got = uc_trend_update(y, state, got_rng, q)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 

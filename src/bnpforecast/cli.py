@@ -415,10 +415,7 @@ def _estimate_cell(task: dict) -> dict:
         full = _WORKER["full"][key]
         spec = ModelSpec(mean_kind=mean_kind, error_kind=error_kind, dataset=dspec)
         mcmc = McmcConfig(**task["mcmc"])
-        # tasks built outside cmd_run (bench/replay.py) may omit min_train
-        pred = forecast_cell(spec, panel, cell.origin, mcmc, full,
-                             master_seed=task["seed"],
-                             min_train=task.get("min_train", MIN_TRAIN_QUARTERS))
+        pred = forecast_cell(spec, panel, cell.origin, mcmc, full, master_seed=task["seed"])
 
         pit_seed = derive_cell_seed(task["seed"], cell.model_id + "|pit",
                                     cell.dataset_label, cell.horizon,
@@ -498,7 +495,7 @@ def cmd_run(cfg: RunConfig) -> int:
         "horizon": c.horizon, "origin": c.origin,
         "target": cfg.target, "expectations": cfg.expectations,
         "include_expectations": cfg.include_expectations,
-        "mcmc": cfg.mcmc, "seed": cfg.seed, "min_train": cfg.min_train,
+        "mcmc": cfg.mcmc, "seed": cfg.seed,
         "out_dir": cfg.out_dir, "draws_format": cfg.draws_format,
     } for c in pending]
     results: dict[str, dict] = {}

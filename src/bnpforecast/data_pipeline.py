@@ -182,9 +182,6 @@ class SeriesPanel:
             raise KeyError(f"series {name!r} not in panel") from None
         return self.values[:, j]
 
-    def tcode(self, name: str) -> int:
-        return self.tcodes[self.names.index(name)]
-
     def transformed(self) -> "SeriesPanel":
         """Apply each series' transform; trim leading rows consistently.
 
@@ -438,17 +435,12 @@ class ModelSpec:
     mean_kind: str
     error_kind: str
     dataset: DatasetSpec
-    horizon: int | None = None
 
     def __post_init__(self):
         if self.mean_kind not in MEAN_KINDS:
             raise ValueError(f"unknown mean kind {self.mean_kind!r}")
         if self.error_kind not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.error_kind!r}")
-        if self.horizon is None:
-            object.__setattr__(self, "horizon", self.dataset.horizon)
-        elif self.horizon != self.dataset.horizon:
-            raise ValueError("model horizon must match the dataset horizon")
 
     @property
     def model_id(self) -> str:

@@ -12,12 +12,16 @@ The AR(1) parameters take the full conditionals of Kastner &
 Fruhwirth-Schnatter (2014, CSDA), drawn with numpy alone: a Gaussian mu_h,
 an independence MH move on rho_h, and sig2_h by rejection from an
 inverse-gamma envelope.
+
+``error_sweep`` updates the ``ErrorState`` it is given in place, and the
+mixture keeps one copy of its state: the weights are derived from the
+sticks, and the slice variables live only within a sweep.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,17 +94,17 @@ SV_PRIORS = SvPriors()
 
 @dataclass
 class DpmState:
-    """Truncated stick-breaking mixture state.
+    """Truncated stick-breaking mixture state, which the sweep updates in
+    place.
 
     Cluster labels in ``alloc`` are zero-based; the stored representation
-    always forces the last stick to one so weights sum to one.
-    ``comp_var`` is None under the SV hybrid (common variance exp(h_t)).
+    always forces the last stick to one, so the ``weights`` derived from
+    the sticks sum to one. ``comp_var`` is None under the SV hybrid (common
+    variance exp(h_t)).
     """
 
     sticks: np.ndarray
-    weights: np.ndarray
     alloc: np.ndarray
-    slice_u: np.ndarray
     comp_mean: np.ndarray
     comp_var: np.ndarray | None
     alpha: float
@@ -108,6 +112,10 @@ class DpmState:
     @property
     def J(self) -> int:
         return self.sticks.size
+
+    @property
+    def weights(self) -> np.ndarray:
+        return stick_to_weights(self.sticks)
 
     def validate(self) -> None:
         J = self.J
@@ -217,42 +225,42 @@ def _slice_coverage_level(min_u: float) -> int:
     return max(1, J)
 
 
-def _grow_components(state: DpmState, target_J: int, rng: np.random.Generator) -> DpmState:
-    """Extend the truncated representation with fresh prior components.
+def _resize(state: DpmState, J: int, rng: np.random.Generator) -> None:
+    """Set the truncation level to J, at most ``TRUNCATION_CAP`` (with a
+    warning when J exceeds it).
 
-    The forced last stick is first re-drawn from its Beta full conditional
-    (counts above J are zero), then prior sticks/atoms are appended and the
-    new final stick is forced to one.
+    Shrinking drops trailing components. Growing first re-draws the forced
+    last stick from its Beta full conditional (counts above J are zero),
+    then appends prior sticks and atoms. The new last stick is forced to one.
     """
-    J = state.J
-    if target_J <= J:
-        return state
-    if target_J > TRUNCATION_CAP:
+    if J > TRUNCATION_CAP:
         warnings.warn(f"mixture truncation capped at {TRUNCATION_CAP} components")
-        target_J = TRUNCATION_CAP
-        if target_J <= J:
-            return state
-    counts = np.bincount(state.alloc, minlength=J)
-    sticks = state.sticks.copy()
-    sticks[-1] = np.clip(rng.beta(1.0 + counts[-1], state.alpha), 1e-12, 1.0 - 1e-12)
-    n_new = target_J - J
-    new_sticks = np.clip(rng.beta(1.0, state.alpha, size=n_new), 1e-12, 1.0 - 1e-12)
-    sticks = np.concatenate([sticks, new_sticks])
-    sticks[-1] = 1.0
-    mean = np.concatenate([state.comp_mean,
-                           rng.normal(0.0, math.sqrt(DPM_PRIORS.mean_var), size=n_new)])
-    var = None
-    if state.comp_var is not None:
-        var = np.concatenate([state.comp_var,
-                              1.0 / rng.gamma(DPM_PRIORS.prec_shape, 1.0 / DPM_PRIORS.prec_rate,
-                                              size=n_new)])
-    return replace(state, sticks=sticks, weights=stick_to_weights(sticks),
-                   comp_mean=mean, comp_var=var)
+        J = TRUNCATION_CAP
+    if J == state.J:
+        return
+    if J < state.J:
+        state.sticks = state.sticks[:J].copy()
+        state.comp_mean = state.comp_mean[:J]
+        if state.comp_var is not None:
+            state.comp_var = state.comp_var[:J]
+    else:
+        n_new = J - state.J
+        drawn = np.concatenate([
+            [rng.beta(1.0 + np.count_nonzero(state.alloc == state.J - 1), state.alpha)],
+            rng.beta(1.0, state.alpha, size=n_new)])
+        state.sticks = np.concatenate([state.sticks[:-1], np.clip(drawn, 1e-12, 1.0 - 1e-12)])
+        state.comp_mean = np.concatenate([
+            state.comp_mean, rng.normal(0.0, math.sqrt(DPM_PRIORS.mean_var), size=n_new)])
+        if state.comp_var is not None:
+            state.comp_var = np.concatenate([
+                state.comp_var,
+                1.0 / rng.gamma(DPM_PRIORS.prec_shape, 1.0 / DPM_PRIORS.prec_rate, size=n_new)])
+    state.sticks[-1] = 1.0
 
 
 def sample_slice_and_alloc(resid: np.ndarray, state: DpmState, rng: np.random.Generator,
-                           sv_var: np.ndarray | None = None) -> DpmState:
-    """Slice variables then cluster allocations.
+                           sv_var: np.ndarray | None = None) -> np.ndarray:
+    """Slice variables then cluster allocations; returns the slices u.
 
     u_t ~ U(0, pi_{delta_t}); components reachable under the new slices but
     beyond the current truncation are instantiated from the prior before
@@ -265,7 +273,7 @@ def sample_slice_and_alloc(resid: np.ndarray, state: DpmState, rng: np.random.Ge
     pw = slice_sequence(state.J)
     u = rng.uniform(0.0, pw[state.alloc])
     u = np.maximum(u, 1e-300)
-    state = _grow_components(state, _slice_coverage_level(float(u.min())), rng)
+    _resize(state, max(state.J, _slice_coverage_level(float(u.min()))), rng)
     J = state.J
     pw = slice_sequence(J)
     var = sv_var if sv_var is not None else state.comp_var
@@ -275,19 +283,19 @@ def sample_slice_and_alloc(resid: np.ndarray, state: DpmState, rng: np.random.Ge
         v = np.broadcast_to(np.asarray(var, dtype=float)[None, :], (T, J))
     dev = resid[:, None] - state.comp_mean[None, :]
     with np.errstate(divide="ignore", over="ignore"):
-        logmass = (np.log(state.weights)[None, :] - np.log(pw)[None, :]
+        logw = np.log(state.weights)[None, :]
+        logmass = (logw - np.log(pw)[None, :]
                    - 0.5 * np.log(2.0 * math.pi * v) - 0.5 * dev * dev / v)
     logmass = np.where(u[:, None] < pw[None, :], logmass, -np.inf)
     finite_rows = np.isfinite(logmass).any(axis=1)
     if not finite_rows.all():
         warnings.warn("slice allocation underflow; assigning by maximum log-kernel")
         with np.errstate(divide="ignore", over="ignore"):
-            fallback = (np.log(state.weights)[None, :]
-                        - 0.5 * np.log(2.0 * math.pi * v) - 0.5 * dev * dev / v)
+            fallback = logw - 0.5 * np.log(2.0 * math.pi * v) - 0.5 * dev * dev / v
         logmass[~finite_rows] = fallback[~finite_rows]
     gumbel = rng.gumbel(size=(T, J))
-    alloc = np.argmax(logmass + gumbel, axis=1)
-    return replace(state, slice_u=u, alloc=alloc)
+    state.alloc = np.argmax(logmass + gumbel, axis=1)
+    return u
 
 
 def truncation_level(weights: np.ndarray, slice_u: np.ndarray) -> int:
@@ -301,27 +309,15 @@ def truncation_level(weights: np.ndarray, slice_u: np.ndarray) -> int:
     return w.size
 
 
-def update_truncation(state: DpmState, rng: np.random.Generator) -> DpmState:
-    """Adapt the truncation level to the weight-tail rule.
+def update_truncation(state: DpmState, slice_u: np.ndarray, rng: np.random.Generator) -> None:
+    """Adapt the truncation level to the weight-tail rule at the sweep's
+    slices ``slice_u``.
 
     The level never drops below the highest occupied component; growth adds
     prior-drawn components, shrinkage discards unoccupied trailing ones.
     """
-    J_rule = truncation_level(state.weights, state.slice_u)
     occupied = int(state.alloc.max()) + 1
-    J_new = max(J_rule, occupied)
-    if J_new > TRUNCATION_CAP:
-        warnings.warn(f"mixture truncation capped at {TRUNCATION_CAP} components")
-        J_new = TRUNCATION_CAP
-    if J_new > state.J:
-        return _grow_components(state, J_new, rng)
-    if J_new == state.J:
-        return state
-    sticks = state.sticks[:J_new].copy()
-    sticks[-1] = 1.0
-    var = None if state.comp_var is None else state.comp_var[:J_new].copy()
-    return replace(state, sticks=sticks, weights=stick_to_weights(sticks),
-                   comp_mean=state.comp_mean[:J_new].copy(), comp_var=var)
+    _resize(state, max(truncation_level(state.weights, slice_u), occupied), rng)
 
 
 def sample_alpha(sticks: np.ndarray, alpha: float, rng: np.random.Generator,
@@ -572,33 +568,31 @@ def error_mean_offsets(state: ErrorState, T: int) -> np.ndarray:
 
 def error_sweep(state: ErrorState, resid: np.ndarray, rng: np.random.Generator,
                 alpha_step: float = 0.5) -> tuple[ErrorState, bool | None]:
-    """One full error-block Gibbs sweep given current residuals.
+    """One full error-block Gibbs sweep given current residuals, in place.
 
     Returns the updated state and, for DPM kinds, whether the alpha move
     was accepted (None otherwise).
     """
     resid = np.asarray(resid, dtype=float)
     if state.kind == "Homosk":
-        sigma2 = sample_homosk_var(resid, state.sigma2_prior, rng)
-        return replace(state, sigma2=sigma2), None
+        state.sigma2 = sample_homosk_var(resid, state.sigma2_prior, rng)
+        return state, None
     if state.kind == "SV":
-        return replace(state, sv=sv_update(resid, state.sv, rng)), None
+        state.sv = sv_update(resid, state.sv, rng)
+        return state, None
 
     dpm = state.dpm
-    sticks = sample_sticks(dpm.alloc, dpm.alpha, dpm.J, rng)
-    dpm = replace(dpm, sticks=sticks, weights=stick_to_weights(sticks))
+    dpm.sticks = sample_sticks(dpm.alloc, dpm.alpha, dpm.J, rng)
     sv_var = np.exp(state.sv.h) if state.kind == "DPMSV" else None
-    dpm = sample_slice_and_alloc(resid, dpm, rng, sv_var=sv_var)
-    alpha, alpha_accepted = sample_alpha(dpm.sticks, dpm.alpha, rng, alpha_step)
-    dpm = replace(dpm, alpha=alpha)
-    dpm = replace(dpm, comp_mean=sample_component_means(resid, dpm, rng, sv_var=sv_var))
-    sv = state.sv
+    slice_u = sample_slice_and_alloc(resid, dpm, rng, sv_var=sv_var)
+    dpm.alpha, alpha_accepted = sample_alpha(dpm.sticks, dpm.alpha, rng, alpha_step)
+    dpm.comp_mean = sample_component_means(resid, dpm, rng, sv_var=sv_var)
     if state.kind == "DPM":
-        dpm = replace(dpm, comp_var=sample_component_vars(resid, dpm, rng))
+        dpm.comp_var = sample_component_vars(resid, dpm, rng)
     else:
-        sv = sv_update(resid - dpm.comp_mean[dpm.alloc], sv, rng)
-    dpm = update_truncation(dpm, rng)
-    return replace(state, dpm=dpm, sv=sv), alpha_accepted
+        state.sv = sv_update(resid - dpm.comp_mean[dpm.alloc], state.sv, rng)
+    update_truncation(dpm, slice_u, rng)
+    return state, alpha_accepted
 
 
 def init_error_state(kind: str, T: int, resid_var: float) -> ErrorState:
@@ -611,11 +605,8 @@ def init_error_state(kind: str, T: int, resid_var: float) -> ErrorState:
         var = None
         if kind == "DPM":
             var = np.array([DPM_PRIORS.prec_rate / DPM_PRIORS.prec_shape])
-        state.dpm = DpmState(
-            sticks=np.array([1.0]), weights=np.array([1.0]),
-            alloc=np.zeros(T, dtype=int),
-            slice_u=np.full(T, 0.5 * (1.0 - KAPPA)),
-            comp_mean=np.zeros(1), comp_var=var, alpha=0.5)
+        state.dpm = DpmState(sticks=np.array([1.0]), alloc=np.zeros(T, dtype=int),
+                             comp_mean=np.zeros(1), comp_var=var, alpha=0.5)
     if kind in ("SV", "DPMSV"):
         h0 = math.log(max(resid_var, 1e-8))
         state.sv = SvState(h=np.full(T, h0), mu_h=h0, rho_h=2.0 / 3.0, sig2_h=0.1)

@@ -73,10 +73,6 @@ class ScorePanel:
             if np.any(arr < 0.0):
                 raise ValueError("quantile scores must be nonnegative")
 
-    @property
-    def n(self) -> int:
-        return self.origin_dates.size
-
 
 @dataclass
 class PitSeries:

@@ -67,8 +67,6 @@ class LassoFit:
     beta: np.ndarray
     lam: float
     r2: float
-    intercept: float = 0.0
-    p: float | None = None
 
     def __post_init__(self):
         if self.lam < 0.0:
@@ -238,10 +236,8 @@ def fit_quantile_paths(paths: QuantilePathSet, X_raw: np.ndarray,
     fits: dict[float, LassoFit] = {}
     for p in paths.p_grid:
         q = paths.column(p)
-        center = float(q.mean())
-        qc = q - center
+        qc = q - float(q.mean())
         lam = cross_validate(qc, Xs, default_lambda_grid(qc, Xs), folds=folds)
         beta = lasso_fit(qc, Xs, lam)
-        fits[p] = LassoFit(beta=beta, lam=lam, r2=quantile_r2(q, Xs, beta),
-                           intercept=center, p=p)
+        fits[p] = LassoFit(beta=beta, lam=lam, r2=quantile_r2(q, Xs, beta))
     return fits

@@ -47,7 +47,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .data_pipeline import (
     MEAN_KINDS,
-    MIN_TRAIN_QUARTERS,
     PC_BASIS_RANK,
     DatasetSpec,
     McmcConfig,
@@ -82,7 +81,6 @@ from .gp_core import (
 __all__ = [
     "MEAN_KINDS",
     "P_GRID",
-    "MIN_TRAIN_QUARTERS",
     "McmcError",
     "ModelSpec",
     "McmcConfig",
@@ -123,7 +121,6 @@ class WindowData:
     y: np.ndarray
     X: np.ndarray | None
     x_new: np.ndarray | None
-    origin_date: int | None = None
     horizon: int = 1
     y_offset: float = 0.0
 
@@ -154,7 +151,6 @@ class PosteriorDraws:
     mean block's moments at the forecast origin, and ``err_mixture`` holds,
     for the DPM kinds, each draw's (weights, means, variances or None)."""
 
-    spec: ModelSpec
     window: WindowData
     scalars: dict[str, np.ndarray]
     origin_mean: np.ndarray
@@ -175,8 +171,6 @@ class PredictiveDraws:
     variances), each draw's log weights less log n for n draws.
     """
 
-    origin_date: int
-    horizon: int
     draws: np.ndarray
     point: float
     quantiles: dict[float, float]
@@ -242,7 +236,6 @@ class _GpContext:
 
     def __init__(self, spec: ModelSpec, data: WindowData):
         self.kind = spec.mean_kind
-        self.data = data
         self.D2 = squared_distances(data.X)
         self.T = data.T
         x_new = np.asarray(data.x_new, dtype=float).ravel()
@@ -513,20 +506,20 @@ def init_state(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
 # one sweep
 
 
-def uc_trend_update(y: np.ndarray, error_state: ErrorState, rng: np.random.Generator,
-                    trend_var: float) -> tuple[np.ndarray, float]:
+def uc_trend_update(y: np.ndarray, offsets: np.ndarray, sigma: np.ndarray,
+                    rng: np.random.Generator, trend_var: float) -> tuple[np.ndarray, float]:
     """Random-walk trend path plus the conjugate innovation-variance draw.
 
-    Observation y_t = trend_t + e_t with per-t means/variances taken from
-    the error state; trend_1 ~ N(y_1, UC_PRIOR_INIT_VAR) and sigma2_eta ~
+    Observation y_t = trend_t + e_t, e_t ~ N(offsets_t, sigma_t), with the
+    error block's per-t means and variances as ``mcmc_step`` computed and
+    checked them; trend_1 ~ N(y_1, UC_PRIOR_INIT_VAR) and sigma2_eta ~
     InvGamma(UC_TREND_VAR_PRIOR). The path is ``error_models.ffbs`` at
     mu = 0 and rho = 1, the recursion the SV log-variance path uses.
     """
     y = np.asarray(y, dtype=float)
     T = y.size
     q = max(float(trend_var), 1e-15)
-    new = ffbs(y - error_mean_offsets(error_state, T), error_variance_diag(error_state, T),
-               y[0], UC_PRIOR_INIT_VAR, 0.0, 1.0, q, rng)
+    new = ffbs(y - offsets, sigma, y[0], UC_PRIOR_INIT_VAR, 0.0, 1.0, q, rng)
     a0, b0 = UC_TREND_VAR_PRIOR
     shape = a0 + 0.5 * (T - 1)
     rate = b0 + 0.5 * float(np.sum(np.diff(new) ** 2))
@@ -559,7 +552,8 @@ def mcmc_step(spec: ModelSpec, data: WindowData, state: ChainState,
 
     # (b) mean block given the error state
     if spec.mean_kind == "UC":
-        state.trend, state.trend_var = uc_trend_update(y, state.error, rng, state.trend_var)
+        state.trend, state.trend_var = uc_trend_update(y, offsets, sigma, rng,
+                                                       state.trend_var)
         _check_finite(state.trend, "trend", state.iteration)
     else:
         r = y - offsets
@@ -667,7 +661,7 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
                     state.hyper, state.f, zeta)
             if err_mixture is not None:
                 dpm = state.error.dpm
-                err_mixture.append((dpm.weights.copy(), dpm.comp_mean.copy(),
+                err_mixture.append((dpm.weights, dpm.comp_mean.copy(),
                                     None if dpm.comp_var is None else dpm.comp_var.copy()))
             kept += 1
     ifs = {name: inefficiency_factor(vals) for name, vals in scalars.items()
@@ -676,7 +670,7 @@ def run_chain(spec: ModelSpec, data: WindowData, cfg: McmcConfig,
               for name, step in (("hyper", state.hyper_step), ("alpha", state.alpha_step))
               if step.n_tries}
     return PosteriorDraws(
-        spec=spec, window=data, scalars=scalars,
+        window=data, scalars=scalars,
         origin_mean=origin_mean, origin_var=origin_var,
         err_mixture=err_mixture,
         ifs=ifs, accept=accept,
@@ -739,8 +733,7 @@ def predictive_simulate(spec: ModelSpec, draws: PosteriorDraws,
     mixture = (np.concatenate(logw) - math.log(n), np.concatenate(means),
                np.concatenate(variances))
     return PredictiveDraws(
-        origin_date=draws.window.origin_date, horizon=h, draws=out,
-        point=float(np.mean(out)), quantiles=qs, mixture=mixture)
+        draws=out, point=float(np.mean(out)), quantiles=qs, mixture=mixture)
 
 
 # ---------------------------------------------------------------------------
@@ -760,33 +753,27 @@ def make_window(full: RegressionData, panel, dspec: DatasetSpec, origin: int) ->
     if sub.x_sd is not None:
         x_new = (x_new - sub.x_mean) / sub.x_sd
     offset = float(np.mean(sub.y))
-    return WindowData(y=sub.y - offset, X=sub.X, x_new=x_new,
-                      origin_date=origin, horizon=h, y_offset=offset)
+    return WindowData(y=sub.y - offset, X=sub.X, x_new=x_new, horizon=h, y_offset=offset)
 
 
 def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
-                  full: RegressionData, master_seed: int,
-                  min_train: int = MIN_TRAIN_QUARTERS) -> PredictiveDraws:
+                  full: RegressionData, master_seed: int) -> PredictiveDraws:
     """Estimate one (model, origin) cell and simulate its predictive draws.
 
     ``full`` is the whole-sample data of the cell's dataset, as
     ``cli.cell_data`` assembles it. The chain and the predictive run on one
     generator seeded from ``master_seed`` and the cell's identity
-    (``derive_cell_seed``), the one place a cell's seed is made. Raises
-    ValueError when the training window is shorter than ``min_train``.
+    (``derive_cell_seed``), the one place a cell's seed is made. The
+    caller picks the origins whose training window is long enough
+    (``cli._origins``).
     """
     dspec = spec.dataset
     if spec.mean_kind == "UC":
         h = dspec.horizon
         mask = full.origin_dates <= origin - h
-        window = WindowData(y=full.y[mask].copy(), X=None, x_new=None,
-                            origin_date=origin, horizon=h)
+        window = WindowData(y=full.y[mask].copy(), X=None, x_new=None, horizon=h)
     else:
         window = make_window(full, panel, dspec, origin)
-    if window.T < min_train:
-        raise ValueError(
-            f"training window at {format_quarter(origin)} has {window.T} quarters "
-            f"(minimum {min_train})")
     seed = derive_cell_seed(master_seed, spec.model_id, spec.dataset_label,
                             dspec.horizon, format_quarter(origin))
     rng = np.random.default_rng(seed)
@@ -797,7 +784,6 @@ def forecast_cell(spec: ModelSpec, panel, origin: int, cfg: McmcConfig,
     pred.diagnostics = {
         "seed": seed, "ifs": draws.ifs, "accept": draws.accept,
         "runtime": draws.runtime, "train_quarters": window.T,
-        "model": spec.model_id, "dataset": spec.dataset_label,
     }
     return pred
 

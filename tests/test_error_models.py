@@ -159,9 +159,7 @@ def _fixed_three_comp(T, alloc_at=2, alpha=0.001):
     sticks = np.array([0.45, 0.55, 1.0])
     return DpmState(
         sticks=sticks,
-        weights=stick_to_weights(sticks),
         alloc=np.full(T, alloc_at, dtype=int),
-        slice_u=np.full(T, 0.05),
         comp_mean=np.array([-1.5, 0.3, 2.0]),
         comp_var=np.array([0.4, 0.9, 0.25]),
         alpha=alpha,
@@ -189,15 +187,14 @@ def test_allocation_frequencies_match_enumeration():
         st = dataclasses.replace(
             base,
             sticks=base.sticks.copy(),
-            weights=base.weights.copy(),
             alloc=base.alloc.copy(),
             comp_mean=base.comp_mean.copy(),
             comp_var=base.comp_var.copy(),
         )
-        out = sample_slice_and_alloc(resid, st, rng)
+        sample_slice_and_alloc(resid, st, rng)
         for t in range(resid.size):
-            if out.alloc[t] < 3:
-                counts[t, out.alloc[t]] += 1
+            if st.alloc[t] < 3:
+                counts[t, st.alloc[t]] += 1
     assert np.max(np.abs(counts / n - p_oracle)) < 0.01
 
 
@@ -208,8 +205,8 @@ def test_single_component_keeps_allocation():
     for _ in range(2000):
         state = init_error_state("DPM", resid.size, 1.0)
         state.dpm.alpha = 1e-4  # grown components carry ~zero weight
-        out = sample_slice_and_alloc(resid, state.dpm, rng)
-        moved += int(np.any(out.alloc != 0))
+        sample_slice_and_alloc(resid, state.dpm, rng)
+        moved += int(np.any(state.dpm.alloc != 0))
     assert moved / 2000 < 0.01
 
 
@@ -218,9 +215,7 @@ def test_allocation_prefers_likely_component():
     sticks = np.array([0.5, 1.0])
     state = DpmState(
         sticks=sticks,
-        weights=stick_to_weights(sticks),
         alloc=np.array([1]),
-        slice_u=np.array([0.05]),
         comp_mean=np.array([0.0, 3.0]),
         comp_var=np.array([1.0, 1.0]),
         alpha=0.001,
@@ -229,7 +224,8 @@ def test_allocation_prefers_likely_component():
     hits = 0
     for _ in range(2000):
         st = dataclasses.replace(state, alloc=state.alloc.copy())
-        hits += int(sample_slice_and_alloc(np.array([0.0]), st, rng).alloc[0] == 0)
+        sample_slice_and_alloc(np.array([0.0]), st, rng)
+        hits += int(st.alloc[0] == 0)
     assert hits / 2000 > 0.9
 
 
@@ -237,21 +233,33 @@ def test_allocation_growth_covers_slices():
     rng = np.random.default_rng(5)
     state = init_error_state("DPM", 30, 1.0)
     resid = rng.standard_normal(30)
-    out = sample_slice_and_alloc(resid, state.dpm, rng)
+    out = state.dpm
+    u = sample_slice_and_alloc(resid, out, rng)
     # every reachable component exists: pi_{J+1} <= min u (unless capped)
     if out.J < TRUNCATION_CAP:
-        assert (1.0 - KAPPA) * KAPPA ** out.J <= out.slice_u.min()
+        assert (1.0 - KAPPA) * KAPPA ** out.J <= u.min()
     assert out.alloc.min() >= 0 and out.alloc.max() < out.J
-    assert np.all(out.slice_u > 0.0)
+    assert np.all(u > 0.0)
 
 
 def test_allocation_underflow_fallback_warns():
     state = _fixed_three_comp(1)
     with pytest.warns(UserWarning, match="underflow"):
-        out = sample_slice_and_alloc(
-            np.array([1e200]), state, np.random.default_rng(6)
-        )
-    assert 0 <= out.alloc[0] < out.J
+        sample_slice_and_alloc(np.array([1e200]), state, np.random.default_rng(6))
+    assert 0 <= state.alloc[0] < state.J
+
+
+def test_slice_growth_cap_warns(monkeypatch):
+    """Slices tiny enough to reach past ``TRUNCATION_CAP`` components grow
+    the mixture only to the cap, with the warning the truncation rule gives."""
+    monkeypatch.setattr(em, "TRUNCATION_CAP", 6)
+    state = init_error_state("DPM", 200, 1.0).dpm
+    with pytest.warns(UserWarning, match="capped at 6"):
+        u = sample_slice_and_alloc(np.zeros(200), state, np.random.default_rng(12))
+    assert em._slice_coverage_level(float(u.min())) > 6  # the slices asked for more
+    assert state.J == 6 and state.sticks[-1] == 1.0
+    assert state.comp_mean.shape == state.comp_var.shape == (6,)
+    state.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +302,14 @@ def test_truncation_level_matches_sequential_oracle():
 
 def test_update_truncation_shrinks_to_occupied():
     sticks = np.array([0.7, 0.5, 0.5, 0.5, 1.0])
-    state = DpmState(
+    out = DpmState(
         sticks=sticks,
-        weights=stick_to_weights(sticks),
         alloc=np.array([0, 2, 1]),
-        slice_u=np.array([0.5, 0.5, 0.5]),
         comp_mean=np.zeros(5),
         comp_var=np.ones(5),
         alpha=0.5,
     )
-    out = update_truncation(state, np.random.default_rng(8))
+    update_truncation(out, np.array([0.5, 0.5, 0.5]), np.random.default_rng(8))
     assert out.J == 3  # weight rule says 1, occupancy forces 3
     assert out.sticks[-1] == 1.0
     assert_allclose(out.weights.sum(), 1.0, atol=1e-12)
@@ -315,16 +321,14 @@ def test_update_truncation_cap_warns(monkeypatch):
     sticks = np.concatenate([np.full(39, 0.01), [1.0]])
     state = DpmState(
         sticks=sticks,
-        weights=stick_to_weights(sticks),
         alloc=np.zeros(4, dtype=int),
-        slice_u=np.full(4, 1e-9),
         comp_mean=np.zeros(40),
         comp_var=np.ones(40),
         alpha=0.5,
     )
     with pytest.warns(UserWarning, match="capped"):
-        out = update_truncation(state, np.random.default_rng(9))
-    assert out.J == 35
+        update_truncation(state, np.full(4, 1e-9), np.random.default_rng(9))
+    assert state.J == 35
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +385,7 @@ def test_component_mean_posterior_moments():
     # posterior N(1.6, 0.8)
     state = DpmState(
         sticks=np.array([1.0]),
-        weights=np.array([1.0]),
         alloc=np.array([0]),
-        slice_u=np.array([0.1]),
         comp_mean=np.array([0.0]),
         comp_var=np.array([1.0]),
         alpha=0.5,
@@ -399,9 +401,7 @@ def test_component_mean_posterior_moments():
 def test_component_mean_empty_component_draws_prior():
     state = DpmState(
         sticks=np.array([0.5, 1.0]),
-        weights=np.array([0.5, 0.5]),
         alloc=np.array([0, 0]),
-        slice_u=np.array([0.1, 0.1]),
         comp_mean=np.zeros(2),
         comp_var=np.ones(2),
         alpha=0.5,
@@ -419,9 +419,7 @@ def test_component_mean_sv_weighting():
     # hybrid kind: per-observation variances weight the sufficient stats
     state = DpmState(
         sticks=np.array([1.0]),
-        weights=np.array([1.0]),
         alloc=np.array([0, 0, 0]),
-        slice_u=np.full(3, 0.1),
         comp_mean=np.array([0.0]),
         comp_var=None,
         alpha=0.5,
@@ -445,9 +443,7 @@ def test_component_var_posterior_distribution():
     # one observation with squared deviation 4: InvGamma(10.5, 7)
     state = DpmState(
         sticks=np.array([1.0]),
-        weights=np.array([1.0]),
         alloc=np.array([0]),
-        slice_u=np.array([0.1]),
         comp_mean=np.array([1.0]),
         comp_var=np.array([1.0]),
         alpha=0.5,
@@ -463,9 +459,7 @@ def test_component_var_posterior_distribution():
 def test_component_var_empty_component_draws_prior():
     state = DpmState(
         sticks=np.array([0.5, 1.0]),
-        weights=np.array([0.5, 0.5]),
         alloc=np.array([0]),
-        slice_u=np.array([0.1]),
         comp_mean=np.zeros(2),
         comp_var=np.ones(2),
         alpha=0.5,
@@ -807,7 +801,6 @@ def test_error_variance_diag_cases():
     dpm.dpm = dataclasses.replace(
         dpm.dpm,
         sticks=np.array([0.5, 1.0]),
-        weights=np.array([0.5, 0.5]),
         alloc=np.array([0, 1, 0]),
         comp_mean=np.array([0.1, -0.2]),
         comp_var=np.array([1.0, 4.0]),
@@ -835,7 +828,7 @@ def _predictive_mixture(error_kind, scalars, h, rng, mixture=None):
     spec = ModelSpec("UC", error_kind, ds)
     window = me.WindowData(y=np.zeros(5), X=None, x_new=None, horizon=h)
     draws = me.PosteriorDraws(
-        spec=spec, window=window, scalars={k: np.atleast_1d(v) for k, v in scalars.items()},
+        window=window, scalars={k: np.atleast_1d(v) for k, v in scalars.items()},
         origin_mean=np.zeros(1), origin_var=np.zeros(1),
         err_mixture=None if mixture is None else [mixture],
         ifs={}, accept={}, runtime=0.0, n_retained=1)
@@ -905,9 +898,10 @@ def test_error_sweep_homosk():
     rng = np.random.default_rng(22)
     resid = rng.standard_normal(60)
     state = init_error_state("Homosk", 60, float(np.var(resid)))
+    before = state.sigma2
     out, accepted = error_sweep(state, resid, rng)
     assert accepted is None
-    assert out.sigma2 > 0.0 and out.sigma2 != state.sigma2
+    assert out.sigma2 > 0.0 and out.sigma2 != before
 
 
 def test_dpm_sweep_recovers_bimodal_density():
@@ -988,7 +982,7 @@ def test_init_error_state_defaults():
     assert dpm.dpm.J == 1
     assert_allclose(dpm.dpm.comp_var, [0.5])  # prior mean of sigma2_j
     assert dpm.dpm.alpha == 0.5
-    assert_allclose(dpm.dpm.slice_u, 0.5 * (1.0 - KAPPA))
+    assert_allclose(dpm.dpm.weights, [1.0])
 
     sv = init_error_state("SV", 10, 2.5)
     assert_allclose(sv.sv.h, math.log(2.5))

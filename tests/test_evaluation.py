@@ -462,19 +462,19 @@ def _fake_pred(origin, y_true, mean, var, n=400, seed=0):
     draws = rng.normal(mean, math.sqrt(var), n)
     qs = {p: float(np.quantile(draws, p)) for p in P_GRID}
     comps = [(mean, np.zeros(1), np.full(1, var), np.ones(1))] * n
-    return PredictiveDraws(origin_date=origin, horizon=1, draws=draws,
-                           point=float(draws.mean()), quantiles=qs,
+    return PredictiveDraws(draws=draws, point=float(draws.mean()), quantiles=qs,
                            mixture=_flatten_components(comps), y_true=y_true)
 
 
-def score_forecasts(model_id, preds, rng=None, p_grid=P_GRID):
-    """Score a list of per-origin predictive draws against realized
+def score_forecasts(model_id, origins, preds, rng=None, p_grid=P_GRID):
+    """Score a list of h = 1 predictive draws at ``origins`` against realized
     outcomes with the package's scoring functions, as a (ScorePanel,
     PitSeries) pair."""
-    preds = [p for p in preds if p.y_true is not None]
-    if not preds:
+    scored = [(o, p) for o, p in zip(origins, preds) if p.y_true is not None]
+    if not scored:
         raise ValueError("no scored origins: realized outcomes missing")
-    dates = np.array([p.origin_date for p in preds], dtype=int)
+    dates = np.array([o for o, _ in scored], dtype=int)
+    preds = [p for _, p in scored]
     y = np.array([p.y_true for p in preds], dtype=float)
     point = np.array([p.point for p in preds], dtype=float)
     lpls = np.array([log_pred_likelihood(p.mixture, p.y_true) for p in preds])
@@ -482,19 +482,18 @@ def score_forecasts(model_id, preds, rng=None, p_grid=P_GRID):
           for p in p_grid}
     pits = np.array([pit_compute(pr.draws, pr.y_true, rng) for pr in preds])
     panel = ScorePanel(model_id=model_id, origin_dates=dates, y_true=y,
-                       sq_errors=(y - point) ** 2, lpls=lpls, qs=qs,
-                       horizon=preds[0].horizon)
+                       sq_errors=(y - point) ** 2, lpls=lpls, qs=qs)
     return panel, PitSeries(model_id=model_id, origin_dates=dates, values=pits)
 
 
 def test_score_forecasts_assembles_aligned_panel():
     preds = [_fake_pred(8000, 0.4, 0.2, 1.0), _fake_pred(8001, -0.6, 0.1, 0.8),
              _fake_pred(8002, 1.2, 0.9, 1.3)]
-    panel, pits = score_forecasts("GP-DPM", preds,
+    panel, pits = score_forecasts("GP-DPM", [8000, 8001, 8002], preds,
                                   rng=np.random.default_rng(1))
     assert panel.model_id == "GP-DPM"
     assert np.array_equal(panel.origin_dates, [8000, 8001, 8002])
-    assert panel.n == 3
+    assert panel.origin_dates.size == 3
     for i, pr in enumerate(preds):
         assert panel.sq_errors[i] == pytest.approx((pr.y_true - pr.point) ** 2)
         assert panel.lpls[i] == pytest.approx(
@@ -507,10 +506,10 @@ def test_score_forecasts_assembles_aligned_panel():
 
 def test_score_forecasts_drops_unrealized_origins():
     preds = [_fake_pred(8000, 0.4, 0.2, 1.0), _fake_pred(8001, None, 0.1, 0.8)]
-    panel, _ = score_forecasts("M", preds)
-    assert panel.n == 1
+    panel, _ = score_forecasts("M", [8000, 8001], preds)
+    assert np.array_equal(panel.origin_dates, [8000])
     with pytest.raises(ValueError, match="realized"):
-        score_forecasts("M", [_fake_pred(8000, None, 0.2, 1.0)])
+        score_forecasts("M", [8000], [_fake_pred(8000, None, 0.2, 1.0)])
 
 
 def test_score_panel_validation():

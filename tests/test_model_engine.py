@@ -17,8 +17,6 @@ from bnpforecast.data_pipeline import (
     forecast_origins,
 )
 from bnpforecast.error_models import (
-    ErrorState,
-    SvState,
     error_mean_offsets,
     error_variance_diag,
     init_error_state,
@@ -26,7 +24,6 @@ from bnpforecast.error_models import (
 from bnpforecast.gp_core import AdaptiveStep, KernelHyper
 from bnpforecast.model_engine import (
     MEAN_KINDS,
-    MIN_TRAIN_QUARTERS,
     P_GRID,
     UC_PRIOR_INIT_VAR,
     UC_TREND_VAR_PRIOR,
@@ -87,7 +84,7 @@ def _hand_draws(spec, window, scalars, f, n):
             hyper = KernelHyper(scalars["xi"][i], scalars["phi"][i])
             zeta = None if tau2 is None else 1.0 / tau2[i]
             mean[i], var[i] = ctx.origin_moments(hyper, f[i], zeta)
-    return PosteriorDraws(spec=spec, window=window, scalars=scalars,
+    return PosteriorDraws(window=window, scalars=scalars,
                           origin_mean=mean, origin_var=var,
                           err_mixture=None,
                           ifs={}, accept={}, runtime=0.0, n_retained=n)
@@ -118,14 +115,11 @@ def test_model_grid_covers_all_combinations():
 
 def test_model_spec_validation():
     spec = ModelSpec("GP", "DPM", DS_H1)
-    assert spec.horizon == 1
     assert spec.model_id == "GP-DPM"
     with pytest.raises(ValueError, match="mean kind"):
         ModelSpec("BART", "DPM", DS_H1)
     with pytest.raises(ValueError, match="error kind"):
         ModelSpec("GP", "GARCH", DS_H1)
-    with pytest.raises(ValueError, match="horizon"):
-        ModelSpec("GP", "DPM", DS_H1, horizon=4)
 
 
 def test_linear_is_exact_subspace_limit():
@@ -184,10 +178,8 @@ def test_uc_trend_dense_conditioning_oracle():
     which must agree with brute-force joint-Gaussian conditioning."""
     y = np.array([0.5, -1.0, 2.0])
     sig2 = np.array([0.5, 1.0, 2.0])
-    state = ErrorState(kind="SV", sv=SvState(h=np.log(sig2), mu_h=0.0,
-                                             rho_h=0.5, sig2_h=0.1))
     q = 0.3
-    trend, q_new = uc_trend_update(y, state, ZeroRng(), q)
+    trend, q_new = uc_trend_update(y, np.zeros(3), sig2, ZeroRng(), q)
 
     D = np.diff(np.eye(3), axis=0)
     prec = D.T @ D / q + np.diag(1.0 / sig2)
@@ -208,9 +200,7 @@ def test_uc_trend_static_level_limit():
     precision-weighted mean of the observations and the initial anchor."""
     y = np.array([0.5, -1.0, 2.0, 0.7, 1.4])
     sig2 = np.array([0.5, 1.0, 2.0, 0.8, 1.2])
-    state = ErrorState(kind="SV", sv=SvState(h=np.log(sig2), mu_h=0.0,
-                                             rho_h=0.5, sig2_h=0.1))
-    trend, _ = uc_trend_update(y, state, ZeroRng(), 1e-14)
+    trend, _ = uc_trend_update(y, np.zeros(5), sig2, ZeroRng(), 1e-14)
     level = ((y[0] / UC_PRIOR_INIT_VAR + np.sum(y / sig2))
              / (1.0 / UC_PRIOR_INIT_VAR + np.sum(1.0 / sig2)))
     assert np.ptp(trend) < 1e-10
@@ -221,13 +211,12 @@ def test_uc_trend_no_information_limit():
     """Infinite observation variance leaves prior random-walk paths anchored
     at the initialization."""
     y = np.array([0.5, -1.0, 2.0, 0.7, 1.4])
-    state = ErrorState(kind="Homosk", sigma2=1e30, sigma2_prior=(3.0, 3.0))
     q = 0.7
     rng = np.random.default_rng(3)
     n = 30000
     paths = np.empty((n, y.size))
     for i in range(n):
-        paths[i] = uc_trend_update(y, state, rng, q)[0]
+        paths[i] = uc_trend_update(y, np.zeros(5), np.full(5, 1e30), rng, q)[0]
     se0 = np.sqrt(UC_PRIOR_INIT_VAR / n)
     assert abs(paths[:, 0].mean() - y[0]) < 3 * se0
     assert abs(paths[:, 0].var() / UC_PRIOR_INIT_VAR - 1.0) < 0.05
@@ -279,7 +268,8 @@ def test_uc_trend_equals_numpy_scalar_oracle(kind, T, q):
         state.dpm.comp_mean = rng.normal(0.0, 0.3, state.dpm.comp_mean.size)
     want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
     want = _uc_trend_numpy(y, state, want_rng, q)
-    got = uc_trend_update(y, state, got_rng, q)
+    got = uc_trend_update(y, error_mean_offsets(state, T), error_variance_diag(state, T),
+                          got_rng, q)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -957,11 +947,9 @@ def test_recursive_forecast_one_cell_per_origin(small_panel):
     data = cli.cell_data(small_panel, spec.dataset, is_uc=False)
     for c in cells:
         res = forecast_cell(spec, small_panel, c.origin, mcmc, data, master_seed=99)
-        assert res.horizon == 1
         assert np.isfinite(res.y_true)
         assert res.draws.size == mcmc.n_retained
-        assert {"seed", "ifs", "accept", "runtime", "train_quarters",
-                "model", "dataset"} <= set(res.diagnostics)
+        assert {"seed", "ifs", "accept", "runtime", "train_quarters"} <= set(res.diagnostics)
         qs = [res.quantiles[p] for p in P_GRID]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
 
@@ -1010,7 +998,4 @@ def test_forecast_cell_seed_derivation_and_min_window(small_panel):
     expected = derive_cell_seed(11, "Linear-SV", spec.dataset_label, 1,
                                 format_quarter(origin))
     assert res.diagnostics["seed"] == expected
-    assert res.diagnostics["train_quarters"] >= MIN_TRAIN_QUARTERS
-    early = int(full.origin_dates[5])
-    with pytest.raises(ValueError, match="minimum 40"):
-        forecast_cell(spec, small_panel, early, cfg, full, master_seed=11)
+    assert res.diagnostics["train_quarters"] >= dp.MIN_TRAIN_QUARTERS

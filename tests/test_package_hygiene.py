@@ -1,9 +1,9 @@
 """Static checks of the package's modules: no import left behind by a
 deletion, no ``__all__`` entry naming something that is gone, no defaulted
-parameter that no call sets, no runtime dependency the code does not
-import, no scipy import outside the modules that need it, no configuration
-field that no config file can set, and no schema keyword the config check
-does not read."""
+parameter that no call sets, no class member that nothing reads, no
+runtime dependency the code does not import, no scipy import outside the
+modules that need it, no configuration field that no config file can set,
+and no schema keyword the config check does not read."""
 
 import ast
 import dataclasses
@@ -145,6 +145,38 @@ def test_no_defaulted_parameter_goes_unset():
             unset.add((mod, fn, param))
     assert unset - set(UNSET_DEFAULTS_ALLOWED) == set()
     assert set(UNSET_DEFAULTS_ALLOWED) - unset == set(), "stale allowlist entries"
+
+
+def _class_members(path):
+    """(module, class, member) for every field (a class-level annotation or
+    an attribute a method assigns on ``self``), property and public method
+    of each class in the module."""
+    for node in ast.walk(_parse(path)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield path.stem, node.name, item.target.id
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                is_property = any(isinstance(d, ast.Name) and d.id == "property"
+                                  for d in item.decorator_list)
+                if is_property or not item.name.startswith("_"):
+                    yield path.stem, node.name, item.name
+                for n in ast.walk(item):
+                    if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                            and isinstance(n.value, ast.Name) and n.value.id == "self"):
+                        yield path.stem, node.name, n.attr
+
+
+def test_every_class_member_is_read():
+    """Every field, property and public method of a class in ``src/`` is read
+    as an attribute somewhere in ``src/``: state that nothing reads is state
+    the package need not keep. Reads are matched by name alone, so a member
+    passes when any attribute of that name is read."""
+    read = {n.attr for path in MODULES for n in ast.walk(_parse(path))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = sorted(m for path in MODULES for m in _class_members(path) if m[2] not in read)
+    assert not unread
 
 
 def test_mean_blocks_form_no_dense_inverse():

@@ -1,11 +1,14 @@
 """Gaussian-process prior pieces shared by the mean blocks.
 
 The latent regression function gets a zero-mean GP prior with Gaussian
-kernel k(x_t, x_s) = xi * exp(-(phi/2) ||x_t - x_s||^2). The subspace
+kernel k(x_t, x_s) = xi * (exp(-(phi/2) ||x_t - x_s||^2) + eps [t = s]).
+The nugget eps = ``NUGGET`` is part of the covariance function (Neal 1997,
+Toronto TR 9702): it keeps every kernel matrix's smallest eigenvalue at
+least eps * xi, so one Cholesky factorization always suffices. The subspace
 variant replaces the kernel K by K1 = (K^{-1} + (I - Phi0)/tau^2)^{-1},
 where Phi0 projects onto a linear basis; tau^2 -> 0 pins the fit to the
 projection (omega = 1/(1+tau^2) -> 1) and tau^2 -> inf recovers the GP.
-This module holds the kernel, the jittered Cholesky, and the samplers of
+This module holds the kernel, the Cholesky factorization, and the samplers of
 tau^2 and of the kernel hyperparameters; ``model_engine`` works the
 conditionals of f from Cholesky factors of K plus a diagonal.
 """
@@ -20,6 +23,7 @@ from scipy.linalg.lapack import dpotrf
 from scipy.special import expit, gammainc, gammaincinv, logit
 
 __all__ = [
+    "NUGGET",
     "SingularKernelError",
     "KernelHyper",
     "AdaptiveStep",
@@ -30,9 +34,11 @@ __all__ = [
     "chol_psd",
 ]
 
+NUGGET = 1e-8  # eps: the kernel's diagonal is xi * (1 + eps)
+
 
 class SingularKernelError(RuntimeError):
-    """Kernel matrix could not be factorized even at maximum jitter."""
+    """A matrix the mean blocks factor is not numerically positive definite."""
 
 
 @dataclass(frozen=True)
@@ -58,15 +64,12 @@ def squared_distances(X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
 
 
 def kernel_from_sqdist(D2: np.ndarray, hyper: KernelHyper) -> np.ndarray:
-    """xi * exp(-(phi/2) D2), computed in place in one new array."""
+    """xi * exp(-(phi/2) D2), computed in place in one new array: the
+    kernel without its nugget, as the cross-covariance k(X, x_new) is."""
     K = (-0.5 * hyper.phi) * D2
     np.exp(K, out=K)
     K *= hyper.xi
     return K
-
-
-# Jitter ladder: relative factors tried on the diagonal before giving up.
-_JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 
 def cho_factor(M: np.ndarray):
@@ -82,33 +85,22 @@ def cho_factor(M: np.ndarray):
 
 
 def chol_psd(M: np.ndarray, what: str = "matrix"):
-    """Lower Cholesky factor with escalating diagonal jitter.
+    """(lower Cholesky factor, True) of M by one ``cho_factor`` call.
 
-    Jitter starts at 1e-8*scale and grows tenfold to 1e-4*scale, with scale
-    the largest diagonal entry, before raising. A factor that needed jitter
-    warns, naming ``what`` and the rung, so a cell's warning counts tally
-    its escalations by rung.
+    Raises SingularKernelError, naming ``what``, when M is not positive
+    definite or the factor is not finite. There is no retry with added
+    jitter: the T x T matrices the mean blocks factor hold the kernel's
+    nugget, which keeps them positive definite.
     """
-    M = np.asarray(M, dtype=float)
-    scale = None
-    for rel in _JITTERS:
-        Mj = M
-        if rel:
-            if scale is None:
-                scale = float(np.max(np.abs(np.diag(M)))) or 1.0
-            Mj = M.copy()
-            Mj[np.diag_indices_from(Mj)] += rel * scale
-        try:
-            c = cho_factor(Mj)
-        except np.linalg.LinAlgError:
-            continue
-        # L[i, i]^2 = M[i, i] - sum_{j<i} L[i, j]^2 takes in the rest of row i,
-        # so a finite diagonal means a finite lower triangle, all that is read.
-        if np.all(np.isfinite(np.diagonal(c[0]))):
-            if rel:
-                warnings.warn(f"{what}: Cholesky needed jitter {rel:g} x the largest diagonal")
-            return c
-    raise SingularKernelError(f"{what}: Cholesky failed at maximum jitter {_JITTERS[-1] * scale:g}")
+    try:
+        c = cho_factor(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularKernelError(f"{what}: {exc}") from None
+    # L[i, i]^2 = M[i, i] - sum_{j<i} L[i, j]^2 takes in the rest of row i,
+    # so a finite diagonal means a finite lower triangle, all that is read.
+    if not np.all(np.isfinite(np.diagonal(c[0]))):
+        raise SingularKernelError(f"{what}: Cholesky factor is not finite")
+    return c
 
 
 def sample_tau2(f: np.ndarray, Phi0: np.ndarray, tau2_current: float,

@@ -8,11 +8,13 @@ one (model, origin) cell of the expanding-window experiment, whose
 origins ``cli`` enumerates.
 
 Every T x T matrix the GP and GPSub mean blocks factor is K plus a
-diagonal, and no inverse is formed. GP uses the covariance form
-(Rasmussen & Williams 2006, Alg. 2.1): the collapsed likelihood comes from
-the factor of K + Sigma. GPSub's prior precision A = K^{-1} + zeta (I - UU')
-and posterior precision P = A + Sigma^{-1} enter through k x k corrections
-on the window basis U (k <= 29 columns): det(AK) through I + zeta K, and
+diagonal, and no inverse is formed. K holds the kernel's nugget
+xi * ``NUGGET`` on its diagonal, so each of them is positive definite.
+GP uses the covariance form (Rasmussen & Williams 2006, Alg. 2.1): the
+collapsed likelihood comes from the factor of K + Sigma. GPSub's prior
+precision A = K^{-1} + zeta (I - UU') and posterior precision
+P = A + Sigma^{-1} enter through k x k corrections on the window basis U
+(k <= 29 columns): det(AK) through I + zeta K, and
 det(PK) and P^{-1} through K + D^{-1} with D = zeta + Sigma^{-1}
 (``_conditional``). f is drawn by pathwise conditioning (Wilson et al.
 2020), for which K's own factor is computed only when a sweep keeps a new
@@ -68,6 +70,7 @@ from .error_models import (
 )
 from .evaluation import P_GRID
 from .gp_core import (
+    NUGGET,
     AdaptiveStep,
     KernelHyper,
     SingularKernelError,
@@ -201,11 +204,11 @@ def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray
 class _HyperSlot:
     """Kernel pieces cached for one kernel hyperparameter.
 
-    GP and GPSub keep the kernel matrix K, its lower Cholesky factor once a
-    draw of f or the origin moments ask for it (``chol_k``), and for GPSub
-    the prior's log-determinant term at one zeta (``_prior_logdet``).
-    Linear keeps only its coefficient precision M = U'K^{-1}U and log det M,
-    as ``prec``.
+    GP and GPSub keep the kernel matrix K, nugget included, its lower
+    Cholesky factor once a draw of f or the origin moments ask for it
+    (``chol_k``), and for GPSub the prior's log-determinant term at one
+    zeta (``_prior_logdet``). Linear keeps only its coefficient precision
+    M = U'K^{-1}U and log det M, as ``prec``.
     """
 
     K: np.ndarray | None = None
@@ -215,8 +218,8 @@ class _HyperSlot:
     prec: tuple | None = None       # Linear: (M, log det M)
 
     def chol_k(self) -> np.ndarray:
-        """Lower Cholesky factor of K (upper triangle not cleaned), factored
-        on first use."""
+        """Lower Cholesky factor of K (upper triangle not cleaned), by one
+        ``chol_psd`` call on first use."""
         if self.L is None:
             self.L = chol_psd(self.K, what="kernel matrix")[0]
         return self.L
@@ -261,7 +264,8 @@ class _GpContext:
         self._kp: list[tuple[tuple[float, float], _HyperSlot]] = []
 
     def kernel_pieces(self, hyper: KernelHyper) -> _HyperSlot:
-        """The cached slot of the Gaussian kernel at this hyperparameter.
+        """The cached slot of the Gaussian kernel at this hyperparameter,
+        K = xi (exp(-(phi/2) D2) + eps I) with eps = ``NUGGET``.
 
         For GP and GPSub a new slot holds K alone; nothing is factored until
         a sweep asks. For Linear it holds M = W'W with W = L^{-1} U and
@@ -275,6 +279,7 @@ class _GpContext:
                 self._kp.append(self._kp.pop(i))
                 return slot
         K = kernel_from_sqdist(self.D2, hyper)
+        K.reshape(-1)[::self.T + 1] += NUGGET * hyper.xi
         if self.kind == "Linear":
             cK, _ = chol_psd(K, what="kernel matrix")
             W = dtrtrs(cK, self.U, lower=1)[0]
@@ -293,7 +298,8 @@ class _GpContext:
         at ``hyper`` and zeta = 1/tau^2 (None for GP and Linear).
 
         Linear: g'f, variance 0. GP and GPSub: with k* = k(X, x_new),
-        w = L^{-1}k*, s = max(xi - w'w, 0) and v = L^{-T}w = K^{-1}k*, the
+        w = L^{-1}k*, s = max(xi (1 + eps) - w'w, 0) (the nugget is in
+        f_new's prior variance, not in k*) and v = L^{-T}w = K^{-1}k*, the
         prior precision's column of f_new is [-v; 1]/s + zeta (e - phi_new),
         so mean = (v'f + s zeta phi_new[:T]'f) / d and var = s / d with
         d = 1 + s zeta (1 - phi_new[T]), finite as s -> 0. L is the factor
@@ -303,7 +309,7 @@ class _GpContext:
             return float(self.g @ f), 0.0
         L = self.kernel_pieces(hyper).chol_k()
         w = dtrtrs(L, kernel_from_sqdist(self.d2_new, hyper), lower=1)[0]
-        s = max(hyper.xi - float(w @ w), 0.0)
+        s = max(hyper.xi * (1.0 + NUGGET) - float(w @ w), 0.0)
         mean = float(dtrtrs(L, w, lower=1, trans=1)[0] @ f)
         if zeta is None:
             return mean, s
@@ -314,7 +320,7 @@ class _GpContext:
 
 def _chol_spd(M: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of a k x k matrix (Linear's M and P, GPSub's
-    U'B^{-1}U and C) by ``dpotrf`` without jitter: each is the Gram matrix
+    U'B^{-1}U and C) by its own ``dpotrf`` call: each is the Gram matrix
     of a full-rank T x k factor, plus a positive semidefinite term in P
     and C."""
     c, info = dpotrf(M, lower=1, clean=0)
@@ -349,8 +355,7 @@ def _prior_logdet(ctx: _GpContext, slot: _HyperSlot, zeta: float) -> float:
     A = K^{-1} + zeta (I - U U'), cached in the slot for one zeta.
 
     With B = I + zeta K, AK = B - zeta U U'K and det(AK) = det B
-    det(U'B^{-1}U), since U'U = I. B's eigenvalues are at least 1, so it is
-    factored where K itself may be singular.
+    det(U'B^{-1}U), since U'U = I.
     """
     if slot.zeta != zeta:
         cB = _chol_shifted(zeta * slot.K, 1.0, "prior precision")

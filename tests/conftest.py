@@ -13,6 +13,7 @@ import pytest
 
 import bnpforecast.model_engine as me
 from bnpforecast.data_pipeline import DatasetSpec, ModelSpec, load_panel
+from bnpforecast.gp_core import NUGGET
 from bnpforecast.synthetic import synthetic_panel, write_panel_csv
 
 ACCEPTANCE_RESULTS: list[str] = []
@@ -47,11 +48,15 @@ def rng():
 
 
 def dense_kernel(X, hyper):
-    """Oracle Gaussian kernel from explicit pairwise differences:
-    K[t, s] = xi * exp(-(phi/2) ||x_t - x_s||^2), diagonal exactly xi."""
+    """Oracle Gaussian kernel with its nugget, from explicit pairwise
+    differences: K[t, s] = xi * (exp(-(phi/2) ||x_t - x_s||^2) + eps [t = s])
+    with eps = ``NUGGET``, so the diagonal is xi (1 + eps). ``hyper.xi`` and
+    ``hyper.phi`` may be arrays of n draws, giving n stacked matrices."""
     X = np.asarray(X, dtype=float)
     D2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
-    return hyper.xi * np.exp(-0.5 * hyper.phi * D2)
+    xi = np.asarray(hyper.xi, dtype=float)[..., None, None]
+    phi = np.asarray(hyper.phi, dtype=float)[..., None, None]
+    return xi * (np.exp(-0.5 * phi * D2) + NUGGET * np.eye(len(X)))
 
 
 class ZeroRng:

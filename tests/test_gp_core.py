@@ -16,6 +16,7 @@ from scipy.linalg import cho_factor, qr
 import bnpforecast.model_engine as me
 from bnpforecast.data_pipeline import PC_BASIS_RANK, DatasetSpec, ModelSpec
 from bnpforecast.gp_core import (
+    NUGGET,
     AdaptiveStep,
     KernelHyper,
     SingularKernelError,
@@ -29,7 +30,8 @@ from conftest import dense_kernel, engine_conditional, engine_context, run_chain
 
 
 def _kernel(X, hyper):
-    """The kernel matrix as the engine forms it."""
+    """The kernel function's matrix as the engine forms it, before the
+    nugget."""
     return kernel_from_sqdist(squared_distances(X), hyper)
 
 
@@ -213,18 +215,19 @@ def _shrunk_kernel(ctx, hyper, tau2):
 
 
 def test_subspace_kernel_two_by_two_oracle():
-    # X = (1, 0)': Phi0 = diag(1, 0), and K = [[xi, c], [c, xi]] with
-    # c = xi exp(-phi/2). At xi = 1/2, tau2 = 1 with d = 1/4 - c^2 = det K:
-    # A = K^-1 + diag(0, 1), det A = 3 / (2 d) and
-    # K1 = [[(1/2 + d), c], [c, 1/2]] / (3/2)
+    # X = (1, 0)': Phi0 = diag(1, 0), and K = [[a, c], [c, a]] with the
+    # nugget diagonal a = xi (1 + eps) and c = xi exp(-phi/2). At xi = 1/2,
+    # tau2 = 1 with d = a^2 - c^2 = det K: A = K^-1 + diag(0, 1),
+    # det A = (1 + a) / d and K1 = [[a + d, c], [c, a]] / (1 + a)
     hyper = KernelHyper(0.5, 0.5)
+    a = 0.5 * (1.0 + NUGGET)
     c = 0.5 * np.exp(-0.25)
-    d = 0.25 - c * c
+    d = a * a - c * c
     ctx = _ctx([[1.0], [0.0]])
     assert_allclose(ctx.Phi0, np.diag([1.0, 0.0]), atol=1e-15)
     K1, logdet_ak = _shrunk_kernel(ctx, hyper, 1.0)
-    assert_allclose(K1, np.array([[0.5 + d, c], [c, 0.5]]) / 1.5, atol=1e-12)
-    assert_allclose(logdet_ak - np.log(d), np.log(1.5 / d), rtol=1e-12)
+    assert_allclose(K1, np.array([[a + d, c], [c, a]]) / (1.0 + a), atol=1e-12)
+    assert_allclose(logdet_ak - np.log(d), np.log((1.0 + a) / d), rtol=1e-12)
 
 
 def test_subspace_kernel_large_tau2_recovers_kernel():
@@ -278,19 +281,16 @@ def test_chol_psd_failure_modes():
         warnings.simplefilter("error")  # a clean factorization warns nothing
         c = chol_psd(np.eye(3))
     assert_allclose(np.tril(c[0]) @ np.tril(c[0]).T, np.eye(3), atol=1e-12)
-    # rank-deficient PSD succeeds through the jitter ladder, and says at which rung
-    M = np.ones((4, 4))
-    with pytest.warns(UserWarning, match=r"^ones: Cholesky needed jitter 1e-0\d x the largest"):
-        c = chol_psd(M, what="ones")
-    L = np.tril(c[0])
-    assert np.max(np.abs(L @ L.T - M)) < 1e-3
+    # rank-deficient PSD is singular: no jitter is added, the error names it
+    with pytest.raises(SingularKernelError, match="^ones: "):
+        chol_psd(np.ones((4, 4)), what="ones")
 
 
 def test_chol_psd_is_scipy_cho_factor_bit_for_bit():
-    """``chol_psd`` factors through one ``dpotrf`` call, and on a kernel
-    that needs no jitter it returns exactly what scipy's ``cho_factor``
-    does, the untouched upper triangle included: the Linear mean block's
-    draws do not depend on which of the two factors K."""
+    """``chol_psd`` factors through one ``dpotrf`` call and returns
+    exactly what scipy's ``cho_factor`` does, the untouched upper triangle
+    included: the Linear mean block's draws do not depend on which of the
+    two factors K."""
     rng = np.random.default_rng(14)
     X = rng.standard_normal((193, 28))
     K = _kernel(X, KernelHyper(0.6, 0.05))

@@ -3,7 +3,7 @@ deletion, no ``__all__`` entry naming something that is gone, no defaulted
 parameter that no call sets, no class member that nothing reads, no
 runtime dependency the code does not import, no scipy import outside the
 modules that need it, no configuration field that no config file can set,
-and no schema keyword the config check does not read."""
+no schema keyword the config check does not read, and no Cholesky retry."""
 
 import ast
 import dataclasses
@@ -250,3 +250,22 @@ def test_config_check_reads_every_schema_keyword():
         assert schema.get("additionalProperties", False) is False
         schemas.extend(schema.get("properties", {}).values())
         schemas.extend([schema["items"]] if "items" in schema else [])
+
+
+def test_chol_psd_is_one_factorization(monkeypatch):
+    """``gp_core`` keeps no jitter ladder (no ``_JITTERS``), and ``chol_psd``
+    calls ``cho_factor`` exactly once per call, whether the factorization
+    succeeds or raises: the kernel's nugget, not a retry, keeps the
+    matrices positive definite."""
+    import numpy as np
+
+    from bnpforecast import gp_core
+    assert "_JITTERS" not in _top_level_definitions(_parse(PACKAGE / "gp_core.py"))
+    calls = []
+    orig = gp_core.cho_factor
+    monkeypatch.setattr(gp_core, "cho_factor", lambda M: (calls.append(1), orig(M))[1])
+    gp_core.chol_psd(np.eye(3))
+    assert len(calls) == 1
+    with pytest.raises(gp_core.SingularKernelError):
+        gp_core.chol_psd(np.ones((4, 4)))
+    assert len(calls) == 2

@@ -69,7 +69,6 @@ from .data_pipeline import (
 )
 from .evaluation import (
     SUBSAMPLE_WINDOWS,
-    PitSeries,
     ScorePanel,
     cumulative_path,
     log_pred_likelihood,
@@ -416,11 +415,6 @@ def _estimate_cell(task: dict) -> dict:
         spec = ModelSpec(mean_kind=mean_kind, error_kind=error_kind, dataset=dspec)
         mcmc = McmcConfig(**task["mcmc"])
         pred = forecast_cell(spec, panel, cell.origin, mcmc, full, master_seed=task["seed"])
-
-        pit_seed = derive_cell_seed(task["seed"], cell.model_id + "|pit",
-                                    cell.dataset_label, cell.horizon,
-                                    format_quarter(cell.origin))
-        pit = pit_compute(pred.draws, pred.y_true, np.random.default_rng(pit_seed))
         record = {
             "model": cell.model_id,
             "dataset": cell.dataset_label,
@@ -434,7 +428,7 @@ def _estimate_cell(task: dict) -> dict:
             "sq_error": (pred.y_true - pred.point) ** 2,
             "qs": {("%g" % p): quantile_score(pred.y_true, pred.quantiles[p], p)
                    for p in sorted(pred.quantiles)},
-            "pit": pit,
+            "pit": pit_compute(pred.draws, pred.y_true),
             "n_draws": int(pred.draws.size),
             "seed": pred.diagnostics["seed"],
             "train_quarters": pred.diagnostics["train_quarters"],
@@ -595,14 +589,14 @@ BENCHMARK_ID = "UC-SV"
 
 
 def _panels_for_horizon(records: list[dict], h: int):
-    """Aligned ScorePanels and PitSeries per model key at one horizon."""
+    """Aligned ScorePanels per model key at one horizon, and their origins."""
     by_model: dict[str, dict[int, dict]] = {}
     for rec in records:
         if rec["horizon"] != h:
             continue
         by_model.setdefault(_model_key(rec), {})[parse_quarter(rec["origin"])] = rec
     if not by_model:
-        return {}, {}, np.array([], dtype=int)
+        return {}, np.array([], dtype=int)
     common = None
     for cells in by_model.values():
         common = set(cells) if common is None else common & set(cells)
@@ -613,7 +607,6 @@ def _panels_for_horizon(records: list[dict], h: int):
                       f"extra cells dropped: {dropped}")
     origins = np.array(sorted(common), dtype=int)
     panels: dict[str, ScorePanel] = {}
-    pits: dict[str, PitSeries] = {}
     for m, cells in sorted(by_model.items()):
         recs = [cells[o] for o in origins]
         p_levels = sorted(float(p) for p in recs[0]["qs"])
@@ -623,10 +616,9 @@ def _panels_for_horizon(records: list[dict], h: int):
             sq_errors=np.array([r["sq_error"] for r in recs]),
             lpls=np.array([r["lpl"] for r in recs]),
             qs={p: np.array([r["qs"]["%g" % p] for r in recs]) for p in p_levels},
+            pits=np.array([r["pit"] for r in recs]),
             horizon=h)
-        pits[m] = PitSeries(model_id=m, origin_dates=origins,
-                            values=np.array([r["pit"] for r in recs]))
-    return panels, pits, origins
+    return panels, origins
 
 
 def cmd_report(out_dir: str) -> int:
@@ -640,7 +632,7 @@ def cmd_report(out_dir: str) -> int:
             manifest = json.load(fh)
         requested = sorted({_model_key(c) for c in manifest.get("cells", [])})
     for h in horizons:
-        panels, pits, origins = _panels_for_horizon(records, h)
+        panels, origins = _panels_for_horizon(records, h)
         if not panels:
             continue
         bench_key = next((k for k in panels if k == BENCHMARK_ID), None)
@@ -662,9 +654,8 @@ def cmd_report(out_dir: str) -> int:
         # per-model score series and calibration grids
         for m, panel in panels.items():
             safe = m.replace("[", "_").replace("]", "")
-            write_scores_csv(os.path.join(out_dir, f"scores_{safe}_h{h}.csv"),
-                             panel, pits[m])
-            grid, ecdf, half = rs_diagnostic(pits[m])
+            write_scores_csv(os.path.join(out_dir, f"scores_{safe}_h{h}.csv"), panel)
+            grid, ecdf, half = rs_diagnostic(panel.pits)
             write_calibration_csv(
                 os.path.join(out_dir, f"calibration_{safe}_h{h}.csv"), grid, ecdf, half)
         if bench_key is not None:

@@ -353,8 +353,9 @@ def _standardize_inplace(data: RegressionData) -> None:
     data.x_mean, data.x_sd = mean, sd
 
 
-def principal_components(X: np.ndarray, r: int, *, return_loadings: bool = False):
-    """Scores of the r leading principal components of standardized X.
+def principal_components(X: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and loadings of the r leading principal components of
+    standardized X.
 
     X must already be standardized column-wise. Loading signs are fixed so
     each component's largest-magnitude loading is positive. Scores are
@@ -371,10 +372,7 @@ def principal_components(X: np.ndarray, r: int, *, return_loadings: bool = False
         k = int(np.argmax(np.abs(V[:, j])))
         if V[k, j] < 0:
             V[:, j] = -V[:, j]
-    scores = X @ V
-    if return_loadings:
-        return scores, V
-    return scores
+    return X @ V, V
 
 
 def load_panel(panel_csv: str, sidecar_csv: str) -> SeriesPanel:

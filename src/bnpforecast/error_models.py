@@ -15,7 +15,10 @@ inverse-gamma envelope.
 
 ``error_sweep`` updates the ``ErrorState`` it is given in place, and the
 mixture keeps one copy of its state: the weights are derived from the
-sticks, and the slice variables live only within a sweep.
+sticks, and the slice variables live only within a sweep. The states
+carry no checks of their own: ``data_pipeline.ModelSpec`` checks the
+error kind before a chain starts, and the test suite asserts the states'
+invariants after each sweep.
 """
 from __future__ import annotations
 
@@ -24,8 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .data_pipeline import ERROR_KINDS
 
 __all__ = [
     "KAPPA",
@@ -117,28 +118,6 @@ class DpmState:
     def weights(self) -> np.ndarray:
         return stick_to_weights(self.sticks)
 
-    def validate(self) -> None:
-        J = self.J
-        if J < 1:
-            raise ValueError("at least one mixture component required")
-        if self.sticks[-1] != 1.0:
-            raise ValueError("last stick must equal 1")
-        if J > 1 and not np.all((self.sticks[:-1] > 0.0) & (self.sticks[:-1] < 1.0)):
-            raise ValueError("interior sticks must lie in (0,1)")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if self.alloc.min(initial=0) < 0 or self.alloc.max(initial=0) >= J:
-            raise ValueError("allocation outside {0..J-1}")
-        if np.any(self.weights[self.alloc] <= 0.0):
-            raise ValueError("observations allocated to zero-weight components")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        if self.comp_mean.shape != (J,):
-            raise ValueError("one mean per component required")
-        if self.comp_var is not None:
-            if self.comp_var.shape != (J,) or np.any(self.comp_var <= 0.0):
-                raise ValueError("component variances must be positive")
-
 
 @dataclass
 class SvState:
@@ -148,14 +127,6 @@ class SvState:
     mu_h: float
     rho_h: float
     sig2_h: float
-
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.h)):
-            raise ValueError("log-volatility path must be finite")
-        if not -1.0 < self.rho_h < 1.0:
-            raise ValueError("rho_h must lie inside the stationary region")
-        if not self.sig2_h > 0.0:
-            raise ValueError("sig2_h must be positive")
 
 
 @dataclass
@@ -167,25 +138,6 @@ class ErrorState:
     sigma2_prior: tuple[float, float] | None = None
     dpm: DpmState | None = None
     sv: SvState | None = None
-
-    def validate(self) -> None:
-        if self.kind not in ERROR_KINDS:
-            raise ValueError(f"unknown error kind {self.kind!r}")
-        if self.kind == "Homosk":
-            if self.sigma2 is None or self.sigma2 <= 0.0:
-                raise ValueError("homoskedastic state requires a positive variance")
-        if self.kind in ("DPM", "DPMSV"):
-            if self.dpm is None:
-                raise ValueError(f"{self.kind} requires mixture state")
-            self.dpm.validate()
-            if self.kind == "DPM" and self.dpm.comp_var is None:
-                raise ValueError("DPM requires component variances")
-            if self.kind == "DPMSV" and self.dpm.comp_var is not None:
-                raise ValueError("the SV hybrid carries no component variances")
-        if self.kind in ("SV", "DPMSV"):
-            if self.sv is None:
-                raise ValueError(f"{self.kind} requires volatility state")
-            self.sv.validate()
 
 
 def slice_sequence(J: int) -> np.ndarray:
@@ -610,5 +562,4 @@ def init_error_state(kind: str, T: int, resid_var: float) -> ErrorState:
     if kind in ("SV", "DPMSV"):
         h0 = math.log(max(resid_var, 1e-8))
         state.sv = SvState(h=np.full(T, h0), mu_h=h0, rho_h=2.0 / 3.0, sig2_h=0.1)
-    state.validate()
     return state

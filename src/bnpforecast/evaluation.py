@@ -20,7 +20,6 @@ __all__ = [
     "P_GRID",
     "SUBSAMPLE_WINDOWS",
     "ScorePanel",
-    "PitSeries",
     "quantile_score",
     "log_pred_likelihood",
     "relative_table",
@@ -52,7 +51,7 @@ _FMT = "%.10g"
 
 @dataclass
 class ScorePanel:
-    """Per-origin scores for one model."""
+    """Per-origin scores and probability integral transforms for one model."""
 
     model_id: str
     origin_dates: np.ndarray
@@ -60,11 +59,12 @@ class ScorePanel:
     sq_errors: np.ndarray
     lpls: np.ndarray
     qs: dict[float, np.ndarray]
+    pits: np.ndarray
     horizon: int = 1
 
     def __post_init__(self):
         n = self.origin_dates.size
-        for name in ("y_true", "sq_errors", "lpls"):
+        for name in ("y_true", "sq_errors", "lpls", "pits"):
             if getattr(self, name).size != n:
                 raise ValueError(f"{name} length must match the origin count")
         for p, arr in self.qs.items():
@@ -72,20 +72,7 @@ class ScorePanel:
                 raise ValueError(f"quantile scores at p={p} misaligned")
             if np.any(arr < 0.0):
                 raise ValueError("quantile scores must be nonnegative")
-
-
-@dataclass
-class PitSeries:
-    """Per-origin probability integral transforms."""
-
-    model_id: str
-    origin_dates: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.size != self.origin_dates.size:
-            raise ValueError("PIT length must match the origin count")
-        if np.any((self.values < 0.0) | (self.values > 1.0)):
+        if np.any((self.pits < 0.0) | (self.pits > 1.0)):
             raise ValueError("PIT values must lie in [0,1]")
 
 
@@ -136,15 +123,12 @@ def log_pred_likelihood(mixture, y: float) -> float:
     return _logsumexp(logw + logpdf)
 
 
-def pit_compute(draws: np.ndarray, y: float, rng: np.random.Generator | None = None) -> float:
-    """Fraction of draws below the outcome, ties broken uniformly at random."""
+def pit_compute(draws: np.ndarray, y: float) -> float:
+    """Fraction of draws below the outcome, a draw equal to it counting one
+    half."""
     d = np.asarray(draws, dtype=float)
-    below = int(np.sum(d < y))
-    ties = int(np.sum(d == y))
-    if ties:
-        u = 0.5 if rng is None else float(rng.uniform())
-        below += u * ties
-    return float(below / d.size)
+    below, ties = int(np.sum(d < y)), int(np.sum(d == y))
+    return (below + 0.5 * ties) / d.size
 
 
 def _check_aligned(panel: ScorePanel, benchmark: ScorePanel) -> None:
@@ -226,14 +210,14 @@ def kolmogorov_halfwidth(n: int, level: float = 0.05) -> float:
     return math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(n)
 
 
-def rs_diagnostic(pits: np.ndarray | PitSeries):
+def rs_diagnostic(pits: np.ndarray):
     """QQ points of the PIT empirical CDF against the uniform, with a band.
 
     Returns (grid, empirical CDF at grid, band half-width) on the grid
     0, 0.01, ..., 1 with the 5% band: calibrated forecasts keep the
     empirical CDF within +/- the half-width of the 45 degree line.
     """
-    v = pits.values if isinstance(pits, PitSeries) else np.asarray(pits, dtype=float)
+    v = np.asarray(pits, dtype=float)
     grid = np.linspace(0.0, 1.0, 101)
     ecdf = np.array([np.mean(v <= r) for r in grid])
     return grid, ecdf, kolmogorov_halfwidth(v.size)
@@ -256,18 +240,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_scores_csv(path, panel: ScorePanel, pits: PitSeries | None = None) -> None:
+def write_scores_csv(path, panel: ScorePanel) -> None:
     header = ["origin", "y_true", "sq_error", "lpl"]
-    header += [f"qs_{p:g}" for p in sorted(panel.qs)]
-    if pits is not None:
-        header.append("pit")
+    header += [f"qs_{p:g}" for p in sorted(panel.qs)] + ["pit"]
     rows = []
     for i, d in enumerate(panel.origin_dates):
         row = [format_quarter(int(d)), _fmt(float(panel.y_true[i])),
                _fmt(float(panel.sq_errors[i])), _fmt(float(panel.lpls[i]))]
         row += [_fmt(float(panel.qs[p][i])) for p in sorted(panel.qs)]
-        if pits is not None:
-            row.append(_fmt(float(pits.values[i])))
+        row.append(_fmt(float(panel.pits[i])))
         rows.append(row)
     _write_rows(path, header, rows)
 

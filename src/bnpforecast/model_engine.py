@@ -195,7 +195,7 @@ def _window_basis(spec: ModelSpec, X: np.ndarray, x_new: np.ndarray
     force_pc = spec.dataset is not None and spec.dataset.variant == "Large"
     if force_pc or K >= T:
         r = min(PC_BASIS_RANK, T - 1, K)
-        scores, loadings = principal_components(X, r, return_loadings=True)
+        scores, loadings = principal_components(X, r)
         return scores, x_new @ loadings, r
     return X, x_new, K
 

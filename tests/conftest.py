@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import bnpforecast.model_engine as me
-from bnpforecast.data_pipeline import DatasetSpec, ModelSpec, load_panel
+from bnpforecast.data_pipeline import ERROR_KINDS, DatasetSpec, ModelSpec, load_panel
 from bnpforecast.gp_core import NUGGET
-from bnpforecast.synthetic import synthetic_panel, write_panel_csv
+
+from synthetic import synthetic_panel, write_panel_csv
 
 ACCEPTANCE_RESULTS: list[str] = []
 
@@ -57,6 +58,46 @@ def dense_kernel(X, hyper):
     xi = np.asarray(hyper.xi, dtype=float)[..., None, None]
     phi = np.asarray(hyper.phi, dtype=float)[..., None, None]
     return xi * (np.exp(-0.5 * phi * D2) + NUGGET * np.eye(len(X)))
+
+
+def assert_error_state(state):
+    """Assert the invariants of an error-model state (``ErrorState``): its
+    kind holds the pieces it needs; a mixture has its last stick at one,
+    interior sticks in (0, 1), weights summing to one, allocations only to
+    positive-weight components, a positive concentration, one mean per
+    component, and positive variances (DPM) or none (the SV hybrid); a
+    volatility state has a finite path, a stationary rho_h and a positive
+    sig2_h."""
+    assert state.kind in ERROR_KINDS, f"unknown error kind {state.kind!r}"
+    if state.kind == "Homosk":
+        assert state.sigma2 is not None and state.sigma2 > 0.0, \
+            "homoskedastic state requires a positive variance"
+    if state.kind in ("DPM", "DPMSV"):
+        d = state.dpm
+        assert d is not None, f"{state.kind} requires mixture state"
+        J = d.J
+        assert J >= 1, "at least one mixture component required"
+        assert d.sticks[-1] == 1.0, "last stick must equal 1"
+        assert np.all((d.sticks[:-1] > 0.0) & (d.sticks[:-1] < 1.0)), \
+            "interior sticks must lie in (0,1)"
+        assert abs(d.weights.sum() - 1.0) <= 1e-12, "weights must sum to 1"
+        assert 0 <= d.alloc.min(initial=0) and d.alloc.max(initial=0) < J, \
+            "allocation outside {0..J-1}"
+        assert np.all(d.weights[d.alloc] > 0.0), \
+            "observations allocated to zero-weight components"
+        assert d.alpha > 0.0, "alpha must be positive"
+        assert d.comp_mean.shape == (J,), "one mean per component required"
+        if state.kind == "DPM":
+            assert d.comp_var is not None and d.comp_var.shape == (J,) \
+                and np.all(d.comp_var > 0.0), "component variances must be positive"
+        else:
+            assert d.comp_var is None, "the SV hybrid carries no component variances"
+    if state.kind in ("SV", "DPMSV"):
+        sv = state.sv
+        assert sv is not None, f"{state.kind} requires volatility state"
+        assert np.all(np.isfinite(sv.h)), "log-volatility path must be finite"
+        assert -1.0 < sv.rho_h < 1.0, "rho_h must lie inside the stationary region"
+        assert sv.sig2_h > 0.0, "sig2_h must be positive"
 
 
 class ZeroRng:

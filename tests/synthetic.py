@@ -1,4 +1,4 @@
-"""Deterministic synthetic quarterly panels for tests and smoke runs.
+"""Deterministic synthetic quarterly panels for the test suite.
 
 Generates a price index with a stochastic inflation trend, a noisy
 expectations series, and a block of factor-driven predictor series whose
@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from .data_pipeline import SeriesPanel, format_quarter, parse_quarter
+from bnpforecast.data_pipeline import SeriesPanel, format_quarter, parse_quarter
 
 __all__ = ["synthetic_panel", "write_panel_csv", "DEFAULT_SEED"]
 

@@ -213,7 +213,7 @@ def test_criterion_7_pit_calibration():
             mu, sd = rng.normal(), abs(rng.normal()) + 0.5
             draws = rng.normal(mu, sd, 200)
             y = rng.normal(mu, sd)
-            pits.append(pit_compute(draws, y, rng))
+            pits.append(pit_compute(draws, y))
         assert stats.kstest(pits, "uniform").pvalue > 0.01
         grid, ecdf, half = rs_diagnostic(np.asarray(pits))
         assert half == pytest.approx(kolmogorov_halfwidth(500, 0.05))

@@ -763,6 +763,7 @@ def test_report_full_run(experiment):
             lpls=np.array([r["lpl"] for r in recs]),
             qs={p: np.array([r["qs"]["%g" % p] for r in recs])
                 for p in (0.05, 0.1, 0.5, 0.9, 0.95)},
+            pits=np.array([r["pit"] for r in recs]),
             horizon=1)
     oracle = {r["model"]: r for r in relative_table(panels, "UC-SV")}
     got = rows["Linear-Homosk[Moderate]"]

@@ -177,7 +177,7 @@ def test_pc_rank_one():
     v = rng.standard_normal(4)
     X = np.outer(u, v)
     X = (X - X.mean(axis=0)) / X.std(axis=0)
-    scores = principal_components(X, 1)
+    scores, _ = principal_components(X, 1)
     # a single component reproduces the full variance of a rank-1 matrix
     assert scores[:, 0].var() / X.var(axis=0).sum() > 1.0 / 4 - 1e-10
     resid = X - np.outer(scores[:, 0], scores[:, 0] @ X) / (scores[:, 0] @ scores[:, 0])
@@ -188,7 +188,7 @@ def test_pc_orthonormal_span():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((12, 3))
     Q = np.linalg.qr(A)[0]
-    scores = principal_components(Q, 3)
+    scores, _ = principal_components(Q, 3)
     P1 = Q @ Q.T
     S, _, _ = np.linalg.svd(scores, full_matrices=False)[0], None, None
     P2 = S @ S.T
@@ -199,7 +199,7 @@ def test_pc_matches_eigendecomposition():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((30, 8))
     X = (X - X.mean(axis=0)) / X.std(axis=0)
-    scores = principal_components(X, 3)
+    scores, loadings = principal_components(X, 3)
     evals, evecs = np.linalg.eigh(X.T @ X)
     order = np.argsort(evals)[::-1]
     V = evecs[:, order[:3]]
@@ -208,6 +208,7 @@ def test_pc_matches_eigendecomposition():
         k = np.argmax(np.abs(V[:, j]))
         if V[k, j] < 0:
             V[:, j] = -V[:, j]
+    npt.assert_allclose(loadings, V, atol=1e-8)
     npt.assert_allclose(scores, X @ V, atol=1e-8)
 
 
@@ -215,7 +216,7 @@ def test_pc_orthogonality_and_variance_shares():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((40, 6))
     X = (X - X.mean(axis=0)) / X.std(axis=0)
-    scores = principal_components(X, 4)
+    scores, _ = principal_components(X, 4)
     G = scores.T @ scores
     npt.assert_allclose(G - np.diag(np.diag(G)), 0.0, atol=1e-10)
     shares = np.diag(G) / np.trace(X.T @ X)

@@ -13,9 +13,8 @@ from scipy.special import digamma
 
 import bnpforecast.error_models as em
 import bnpforecast.model_engine as me
-from bnpforecast.data_pipeline import DatasetSpec, ModelSpec
+from bnpforecast.data_pipeline import ERROR_KINDS, DatasetSpec, ModelSpec
 from bnpforecast.error_models import (
-    ERROR_KINDS,
     KAPPA,
     LOG_RESID_FLOOR,
     TRUNCATION_CAP,
@@ -51,7 +50,7 @@ from bnpforecast.error_models import (
     update_truncation,
 )
 
-from conftest import geweke_z, mixture_density
+from conftest import assert_error_state, geweke_z, mixture_density
 
 
 def _iact(x, L=200):
@@ -259,7 +258,7 @@ def test_slice_growth_cap_warns(monkeypatch):
     assert em._slice_coverage_level(float(u.min())) > 6  # the slices asked for more
     assert state.J == 6 and state.sticks[-1] == 1.0
     assert state.comp_mean.shape == state.comp_var.shape == (6,)
-    state.validate()
+    assert_error_state(ErrorState("DPM", dpm=state))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def test_update_truncation_shrinks_to_occupied():
     assert out.J == 3  # weight rule says 1, occupancy forces 3
     assert out.sticks[-1] == 1.0
     assert_allclose(out.weights.sum(), 1.0, atol=1e-12)
-    out.validate()
+    assert_error_state(ErrorState("DPM", dpm=out))
 
 
 def test_update_truncation_cap_warns(monkeypatch):
@@ -329,6 +328,7 @@ def test_update_truncation_cap_warns(monkeypatch):
     with pytest.warns(UserWarning, match="capped"):
         update_truncation(state, np.full(4, 1e-9), np.random.default_rng(9))
     assert state.J == 35
+    assert_error_state(ErrorState("DPM", dpm=state))
 
 
 # ---------------------------------------------------------------------------
@@ -915,8 +915,7 @@ def test_dpm_sweep_recovers_bimodal_density():
     kept = 0
     for it in range(1500):
         state, _ = error_sweep(state, eps, rng)
-        if it % 250 == 0:
-            state.validate()
+        assert_error_state(state)
         if it >= 500 and it % 5 == 0:
             d = state.dpm
             dens_acc += mixture_density(d.weights, d.comp_mean, d.comp_var, grid)
@@ -963,7 +962,7 @@ def test_hybrid_sweep_keeps_state_consistent():
     for _ in range(50):
         state, accepted = error_sweep(state, eps, rng)
         assert isinstance(accepted, bool)
-        state.validate()
+        assert_error_state(state)
     assert state.dpm.comp_var is None
     assert np.all(np.isfinite(state.sv.h))
     assert state.dpm.J <= TRUNCATION_CAP
@@ -993,33 +992,33 @@ def test_init_error_state_defaults():
     assert hyb.dpm.comp_var is None
     assert hyb.sv is not None
 
-    with pytest.raises(ValueError, match="unknown error kind"):
-        init_error_state("Garch", 10, 1.0)
-
 
 def test_error_state_validation():
-    with pytest.raises(ValueError, match="unknown error kind"):
-        ErrorState(kind="garch").validate()
-    with pytest.raises(ValueError, match="positive variance"):
-        ErrorState(kind="Homosk", sigma2=-1.0).validate()
-    with pytest.raises(ValueError, match="mixture state"):
-        ErrorState(kind="DPM").validate()
+    """``assert_error_state`` accepts every starting state and rejects each
+    broken one."""
+    for kind in ERROR_KINDS:
+        assert_error_state(init_error_state(kind, 4, 1.0))
+    with pytest.raises(AssertionError, match="unknown error kind"):
+        assert_error_state(ErrorState(kind="garch"))
+    with pytest.raises(AssertionError, match="positive variance"):
+        assert_error_state(ErrorState(kind="Homosk", sigma2=-1.0))
+    with pytest.raises(AssertionError, match="mixture state"):
+        assert_error_state(ErrorState(kind="DPM"))
 
     good = init_error_state("DPM", 4, 1.0)
-    bad = dataclasses.replace(good.dpm, sticks=np.array([0.7]))
-    with pytest.raises(ValueError, match="last stick"):
-        bad.validate()
-    bad = dataclasses.replace(good.dpm, alloc=np.array([0, 0, 0, 5]))
-    with pytest.raises(ValueError, match="allocation"):
-        bad.validate()
-    bad = dataclasses.replace(good.dpm, alpha=-0.5)
-    with pytest.raises(ValueError, match="alpha"):
-        bad.validate()
+    for field, value, match in (("sticks", np.array([0.7]), "last stick"),
+                                ("alloc", np.array([0, 0, 0, 5]), "allocation"),
+                                ("alpha", -0.5, "alpha")):
+        bad = dataclasses.replace(good, dpm=dataclasses.replace(good.dpm, **{field: value}))
+        with pytest.raises(AssertionError, match=match):
+            assert_error_state(bad)
 
     hyb = init_error_state("DPMSV", 4, 1.0)
     hyb.dpm = dataclasses.replace(hyb.dpm, comp_var=np.array([1.0]))
-    with pytest.raises(ValueError, match="no component variances"):
-        hyb.validate()
+    with pytest.raises(AssertionError, match="no component variances"):
+        assert_error_state(hyb)
 
-    with pytest.raises(ValueError, match="stationary"):
-        SvState(h=np.zeros(3), mu_h=0.0, rho_h=1.2, sig2_h=0.1).validate()
+    sv = init_error_state("SV", 3, 1.0)
+    sv.sv = SvState(h=np.zeros(3), mu_h=0.0, rho_h=1.2, sig2_h=0.1)
+    with pytest.raises(AssertionError, match="stationary"):
+        assert_error_state(sv)

@@ -14,7 +14,6 @@ from bnpforecast.data_pipeline import AlignmentError, DatasetSpec, ModelSpec, pa
 from bnpforecast.evaluation import (
     P_GRID,
     SUBSAMPLE_WINDOWS,
-    PitSeries,
     ScorePanel,
     cumulative_path,
     kolmogorov_halfwidth,
@@ -32,13 +31,14 @@ from bnpforecast.evaluation import (
 from bnpforecast.model_engine import PredictiveDraws
 
 
-def _panel(model_id, dates, y, point, lpls, qs_by_p):
+def _panel(model_id, dates, y, point, lpls, qs_by_p, pits=None):
     y = np.asarray(y, float)
     point = np.asarray(point, float)
     return ScorePanel(model_id=model_id, origin_dates=np.asarray(dates),
                       y_true=y, sq_errors=(y - point) ** 2,
                       lpls=np.asarray(lpls, float),
-                      qs={p: np.asarray(v, float) for p, v in qs_by_p.items()})
+                      qs={p: np.asarray(v, float) for p, v in qs_by_p.items()},
+                      pits=np.full(y.size, 0.5) if pits is None else np.asarray(pits, float))
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +404,10 @@ def test_pit_boundaries_and_ties():
     assert pit_compute(draws, -5.0) == 0.0
     assert pit_compute(draws, 5.0) == 1.0
     assert pit_compute(np.array([1.0, 1.0, 2.0]), 1.0) == pytest.approx(1 / 3)
-    rng = np.random.default_rng(0)
-    tied = pit_compute(np.array([1.0, 1.0, 2.0]), 1.0, rng)
-    assert 0.0 <= tied <= 2 / 3
+    assert pit_compute(np.array([0.0, 1.0, 1.0, 1.0]), 1.0) == pytest.approx(2.5 / 4)
     with pytest.raises(ValueError, match=r"\[0,1\]"):
-        PitSeries("m", np.arange(2), np.array([0.5, 1.5]))
+        _panel("m", np.arange(2), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], {},
+               pits=[0.5, 1.5])
 
 
 def test_kolmogorov_halfwidth_table_value():
@@ -430,10 +429,6 @@ def test_rs_diagnostic_perfect_grid():
     assert np.array_equal(grid, np.linspace(0.0, 1.0, 101))
     assert np.array_equal(ecdf, np.arange(101) / n)
     assert half == pytest.approx(kolmogorov_halfwidth(n, 0.05))
-    g2, e2, _ = rs_diagnostic(PitSeries("m", np.arange(n), pits))
-    assert g2.size == 101
-    assert e2[0] == 0.0 and e2[-1] == 1.0
-    assert np.all(np.diff(e2) >= 0.0)
 
 
 def test_pits_uniform_under_correct_specification():
@@ -445,7 +440,7 @@ def test_pits_uniform_under_correct_specification():
         mu, sd = rng.normal(), abs(rng.normal()) + 0.5
         draws = rng.normal(mu, sd, 200)
         y = rng.normal(mu, sd)
-        pits.append(pit_compute(draws, y, rng))
+        pits.append(pit_compute(draws, y))
     pv = stats.kstest(pits, "uniform").pvalue
     assert pv > 0.01
     _, ecdf, half = rs_diagnostic(np.asarray(pits))
@@ -466,10 +461,9 @@ def _fake_pred(origin, y_true, mean, var, n=400, seed=0):
                            mixture=_flatten_components(comps), y_true=y_true)
 
 
-def score_forecasts(model_id, origins, preds, rng=None, p_grid=P_GRID):
+def score_forecasts(model_id, origins, preds, p_grid=P_GRID):
     """Score a list of h = 1 predictive draws at ``origins`` against realized
-    outcomes with the package's scoring functions, as a (ScorePanel,
-    PitSeries) pair."""
+    outcomes with the package's scoring functions, as a ScorePanel."""
     scored = [(o, p) for o, p in zip(origins, preds) if p.y_true is not None]
     if not scored:
         raise ValueError("no scored origins: realized outcomes missing")
@@ -480,17 +474,15 @@ def score_forecasts(model_id, origins, preds, rng=None, p_grid=P_GRID):
     lpls = np.array([log_pred_likelihood(p.mixture, p.y_true) for p in preds])
     qs = {p: np.array([quantile_score(pr.y_true, pr.quantiles[p], p) for pr in preds])
           for p in p_grid}
-    pits = np.array([pit_compute(pr.draws, pr.y_true, rng) for pr in preds])
-    panel = ScorePanel(model_id=model_id, origin_dates=dates, y_true=y,
-                       sq_errors=(y - point) ** 2, lpls=lpls, qs=qs)
-    return panel, PitSeries(model_id=model_id, origin_dates=dates, values=pits)
+    pits = np.array([pit_compute(pr.draws, pr.y_true) for pr in preds])
+    return ScorePanel(model_id=model_id, origin_dates=dates, y_true=y,
+                      sq_errors=(y - point) ** 2, lpls=lpls, qs=qs, pits=pits)
 
 
 def test_score_forecasts_assembles_aligned_panel():
     preds = [_fake_pred(8000, 0.4, 0.2, 1.0), _fake_pred(8001, -0.6, 0.1, 0.8),
              _fake_pred(8002, 1.2, 0.9, 1.3)]
-    panel, pits = score_forecasts("GP-DPM", [8000, 8001, 8002], preds,
-                                  rng=np.random.default_rng(1))
+    panel = score_forecasts("GP-DPM", [8000, 8001, 8002], preds)
     assert panel.model_id == "GP-DPM"
     assert np.array_equal(panel.origin_dates, [8000, 8001, 8002])
     assert panel.origin_dates.size == 3
@@ -501,12 +493,13 @@ def test_score_forecasts_assembles_aligned_panel():
         for p in P_GRID:
             assert panel.qs[p][i] == pytest.approx(
                 quantile_score(pr.y_true, pr.quantiles[p], p))
-    assert np.all((pits.values >= 0) & (pits.values <= 1))
+        assert panel.pits[i] == pit_compute(pr.draws, pr.y_true)
+    assert np.all((panel.pits >= 0) & (panel.pits <= 1))
 
 
 def test_score_forecasts_drops_unrealized_origins():
     preds = [_fake_pred(8000, 0.4, 0.2, 1.0), _fake_pred(8001, None, 0.1, 0.8)]
-    panel, _ = score_forecasts("M", [8000, 8001], preds)
+    panel = score_forecasts("M", [8000, 8001], preds)
     assert np.array_equal(panel.origin_dates, [8000])
     with pytest.raises(ValueError, match="realized"):
         score_forecasts("M", [8000], [_fake_pred(8000, None, 0.2, 1.0)])
@@ -515,10 +508,13 @@ def test_score_forecasts_drops_unrealized_origins():
 def test_score_panel_validation():
     with pytest.raises(ValueError, match="length"):
         ScorePanel("m", np.arange(3), np.zeros(3), np.zeros(2), np.zeros(3),
-                   {})
+                   {}, np.zeros(3))
+    with pytest.raises(ValueError, match="pits length"):
+        ScorePanel("m", np.arange(2), np.zeros(2), np.zeros(2), np.zeros(2),
+                   {}, np.zeros(3))
     with pytest.raises(ValueError, match="nonnegative"):
         ScorePanel("m", np.arange(2), np.zeros(2), np.zeros(2), np.zeros(2),
-                   {0.5: np.array([0.1, -0.1])})
+                   {0.5: np.array([0.1, -0.1])}, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +525,10 @@ def test_csv_writers_roundtrip(tmp_path):
     dates = np.array([parse_quarter("1990Q1"), parse_quarter("1990Q2")])
     qs = {0.05: np.array([0.25, 0.5]), 0.5: np.array([1.0, 2.0])}
     panel = _panel("GP-SV", dates, [1.0, 2.0], [0.5, 1.5],
-                   [-0.9, -1.1], qs)
-    pits = PitSeries("GP-SV", dates, np.array([0.3, 0.8]))
+                   [-0.9, -1.1], qs, pits=[0.3, 0.8])
 
     spath = tmp_path / "scores_GP-SV.csv"
-    write_scores_csv(spath, panel, pits)
+    write_scores_csv(spath, panel)
     with open(spath) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["origin", "y_true", "sq_error", "lpl",

@@ -43,15 +43,16 @@ from bnpforecast.model_engine import (
     run_chain,
     uc_trend_update,
 )
-from bnpforecast.synthetic import synthetic_panel
 from conftest import (
     ZeroRng,
+    assert_error_state,
     dense_kernel,
     engine_conditional,
     engine_context,
     geweke_z,
     run_chain_recording_f,
 )
+from synthetic import synthetic_panel
 
 DS_H1 = DatasetSpec(variant="Moderate", target_series="PRICE", horizon=1,
                     include_expectations=False)
@@ -354,7 +355,7 @@ def test_mcmc_step_preserves_invariants_across_grid():
         step_rng = np.random.default_rng(abs(hash(mid)) % 2 ** 32)
         for _ in range(25):
             state = mcmc_step(spec, data, state, step_rng, ctx)
-        state.error.validate()
+            assert_error_state(state.error)
         if mean_kind == "UC":
             assert np.all(np.isfinite(state.trend))
             assert state.trend_var > 0

@@ -3,7 +3,8 @@ deletion, no ``__all__`` entry naming something that is gone, no defaulted
 parameter that no call sets, no class member that nothing reads, no
 runtime dependency the code does not import, no scipy import outside the
 modules that need it, no configuration field that no config file can set,
-no schema keyword the config check does not read, and no Cholesky retry."""
+no schema keyword the config check does not read, no Cholesky retry, and
+no module that only the tests import."""
 
 import ast
 import dataclasses
@@ -81,14 +82,35 @@ def test_every_export_exists(path):
     assert not missing, f"{path.name}: __all__ names {missing} are not defined"
 
 
+# Modules that run without another package module importing them.
+ENTRY_POINTS = {"__init__", "__main__", "cli"}
+
+
+def test_every_module_is_imported_or_an_entry_point():
+    """Every module of the package is imported by another package module,
+    or is an entry point: code that only the tests reach belongs under
+    ``tests/``."""
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                base = (node.module or "") if node.level == 0 else \
+                    ".".join(filter(None, (PACKAGE.name, node.module)))
+                names = [f"{base}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            # bnpforecast.m or bnpforecast.m.name: module m is imported
+            imported.update(n.split(".")[1] for n in names
+                            if n.startswith(PACKAGE.name + "."))
+    orphans = {p.stem for p in MODULES} - imported - ENTRY_POINTS
+    assert not orphans, f"modules no package module imports: {sorted(orphans)}"
+
+
 # Defaulted parameters that no call in src/ sets, each kept for its reason.
 UNSET_DEFAULTS_ALLOWED = {
     ("cli", "main", "argv"): "entry point: the console script calls main()",
-    ("synthetic", "synthetic_panel", "T"): "test utility: the panel generator's size",
-    ("synthetic", "synthetic_panel", "n_moderate"): "test utility: the panel generator's width",
-    ("synthetic", "synthetic_panel", "n_large_extra"): "test utility: the Large-only series",
-    ("synthetic", "synthetic_panel", "seed"): "test utility: the panel generator's seed",
-    ("synthetic", "synthetic_panel", "start"): "test utility: the panel's first quarter",
     ("linear_summary", "lasso_fit", "max_breakpoints"): "a test sets 3 to hit the limit",
     ("linear_summary", "default_lambda_grid", "n_points"): "tests set shorter grids",
     ("linear_summary", "default_lambda_grid", "ratio"): "a test sets a narrower span",
